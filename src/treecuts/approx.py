@@ -13,7 +13,12 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .decomposition import TreeCutDecomposition, node_stats, width_report
+from .decomposition import (
+    InvalidDecompositionError,
+    TreeCutDecomposition,
+    node_stats,
+    width_report,
+)
 from .multigraph import MultiGraph
 from .oracle import exact_width
 from .transform import make_very_nice
@@ -82,7 +87,9 @@ def approximate_stcw(
 ) -> ApproxResult:
     """Decomposition of slim width <= 6(omega+1)^3, or a certified
     report that stcw(g) > omega. The full very-nice decomposition and
-    every audited B2 count are included either way."""
+    every audited B2 count are included either way. A provider
+    decomposition that is invalid or wider than 2*omega raises
+    ProviderError."""
     if omega < 1:
         raise ValueError("omega must be positive")
     threshold = 6 * omega * (omega + 1) ** 2
@@ -96,6 +103,12 @@ def approximate_stcw(
             b2_threshold=threshold,
             slim_bound=bound,
         )
+    try:
+        width = width_report(d0, g).width
+    except InvalidDecompositionError as e:
+        raise ProviderError(f"provider returned an invalid decomposition: {e}") from None
+    if width > 2 * omega:
+        raise ProviderError(f"provider returned width {width} > 2*omega = {2 * omega}")
     dvn = make_very_nice(d0, g)
     b2_sizes = {t: len(node_stats(dvn, g, t).children_B2) for t in dvn.nodes()}
     if any(v > threshold for v in b2_sizes.values()):
@@ -109,6 +122,8 @@ def approximate_stcw(
             b2_sizes=b2_sizes,
         )
     slim = width_report(dvn, g).slim_width
+    if slim > bound:
+        raise RuntimeError(f"slim width {slim} exceeds the bound {bound}; not certifying")
     return ApproxResult(
         accepted=True,
         omega=omega,

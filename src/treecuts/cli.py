@@ -27,13 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="treecuts",
         description="Width computations for tree-cut style decompositions.",
     )
-    ap.add_argument("--seed", type=int, default=0, help="seed for randomized corpora")
-    ap.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker bound for enumeration subcommands (currently serial)",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a named graph family as an edge list")
@@ -124,9 +117,6 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.jobs != 1:
-        print("note: running serially; --jobs is an upper bound", file=sys.stderr)
-
     if args.command == "gen":
         g = make_family(args.family, args.r)
         _emit(formats.write_edge_list(g), args.output)

@@ -10,8 +10,9 @@ shape around them.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
-from .decomposition import TreeCutDecomposition, center, consolidate
+from .decomposition import TreeCutDecomposition
 from .multigraph import MultiGraph
 
 VARIANT_LEVEL = {"tcw": 3, "stcw": 2, "tcw0": 1}
@@ -49,16 +50,20 @@ def exact_width(
         raise SizeLimitError(f"{n} vertices exceed the search limit {max_vertices}")
     if n == 0:
         return 0, TreeCutDecomposition(0, {0: None}, {0: set()})
-    level = VARIANT_LEVEL[variant]
+    search = _Search(g, VARIANT_LEVEL[variant], empty_budget)
     for w in range(1, n + 1):
-        plan = _Search(g, level, w, empty_budget).run()
+        plan = search.run(w)
         if plan is not None:
             return w, plan
     raise AssertionError("single-node decomposition must succeed at w = n")
 
 
 class _Search:
-    """Feasibility search for one width bound.
+    """Feasibility search over vertex subsets encoded as int bit masks.
+
+    Bit i stands for the i-th smallest vertex. The cut table and the two
+    enumeration orders depend only on the graph, so they are built once
+    and shared by every width bound tried; run(w) then searches one bound.
 
     _min_empties(y) is the least number of empty bags any valid subtree
     covering exactly y can use, or infinity; the subtree's top node is
@@ -67,50 +72,69 @@ class _Search:
     (the root has adhesion 0 by definition, matching its empty cut).
     """
 
-    def __init__(self, g: MultiGraph, level: int, wmax: int, budget: int):
-        self.g = g
+    def __init__(self, g: MultiGraph, level: int, budget: int):
+        self.vertices = g.sorted_vertices()
         self.level = level
-        self.wmax = wmax
         self.budget = budget
-        self.all = frozenset(g.vertices())
-        self.memo: dict[frozenset, float] = {}
-        self.choice: dict[frozenset, tuple[frozenset, tuple[frozenset, ...]]] = {}
-        self.cut_memo: dict[frozenset, int] = {}
+        self.all = (1 << len(self.vertices)) - 1
+        self.cut = _cut_table(g)
+        self.bags_of: dict[int, list[int]] = {}
+        self.pieces_of: dict[int, list[int]] = {}
 
-    def run(self) -> TreeCutDecomposition | None:
+    def run(self, wmax: int) -> TreeCutDecomposition | None:
+        self.wmax = wmax
+        self.memo: dict[int, float] = {}
+        self.choice: dict[int, tuple[int, tuple[int, ...]]] = {}
         if self._min_empties(self.all) > self.budget:
             return None
         parent: dict[int, int | None] = {}
         bags: dict[int, set[int]] = {}
         counter = 0
 
-        def build(y: frozenset, par: int | None) -> None:
+        def build(y: int, par: int | None) -> None:
             nonlocal counter
             me = counter
             counter += 1
             x, parts = self.choice[y]
             parent[me] = par
-            bags[me] = set(x)
+            bags[me] = {v for i, v in enumerate(self.vertices) if x >> i & 1}
             for p in parts:
                 build(p, me)
 
         build(self.all, None)
         return TreeCutDecomposition(0, parent, bags)
 
-    def _cut(self, part: frozenset) -> int:
-        if part not in self.cut_memo:
-            self.cut_memo[part] = self.g.cut_size(set(part))
-        return self.cut_memo[part]
+    def _bags(self, y: int) -> list[int]:
+        """Subsets of y by size, then lexicographically by sorted vertices."""
+        if y not in self.bags_of:
+            bits = [1 << i for i in range(y.bit_length()) if y >> i & 1]
+            self.bags_of[y] = [
+                sum(c) for r in range(len(bits) + 1) for c in combinations(bits, r)
+            ]
+        return self.bags_of[y]
 
-    def _torso_ok(self, y: frozenset, x: frozenset, parts) -> bool:
-        groups = [set(p) for p in parts]
-        up = self.all - y
+    def _pieces(self, remaining: int) -> list[int]:
+        """Subsets of remaining holding its lowest vertex, in the order of
+        counting over the other vertices: ascending as integers."""
+        if remaining not in self.pieces_of:
+            pivot = remaining & -remaining
+            others = remaining ^ pivot
+            self.pieces_of[remaining] = [
+                pivot | s for s in range(others + 1) if s & others == s
+            ]
+        return self.pieces_of[remaining]
+
+    def _torso_ok(self, y: int, x: int, parts: tuple[int, ...]) -> bool:
+        groups = list(parts)
+        up = self.all ^ y
         if up:
-            groups.append(set(up))
-        h = consolidate(self.g, set(x), groups)
-        return center(h, set(x), self.level).num_vertices() <= self.wmax
+            groups.append(up)
+        nbag = x.bit_count()
+        if nbag + len(groups) <= self.wmax:
+            return True  # even a center keeping every group fits
+        return _center_size(self.cut, nbag, groups, self.level) <= self.wmax
 
-    def _min_empties(self, y: frozenset) -> float:
+    def _min_empties(self, y: int) -> float:
         if y in self.memo:
             return self.memo[y]
         # in-progress marker; prunes the degenerate partition whose single
@@ -118,11 +142,14 @@ class _Search:
         self.memo[y] = INF
         best: float = INF
         best_choice = None
-        for x in _subsets_by_size(y):
+        for x in self._bags(y):
+            if x.bit_count() > self.wmax:
+                # the center keeps every bag vertex, and later bags are no smaller
+                break
             own = 0 if x else 1
             if own > self.budget:
                 continue
-            rest = y - x
+            rest = y ^ x
             if not rest:
                 if x and self._torso_ok(y, x, ()):
                     best, best_choice = 0, (x, ())
@@ -143,39 +170,88 @@ class _Search:
             self.choice[y] = best_choice
         return best
 
-    def _partitions(self, rest: frozenset, cap: float):
+    def _partitions(self, rest: int, cap: float):
         """Partitions of rest whose every part respects the adhesion bound
         and is itself feasible; yields (parts, summed empty-bag cost)."""
 
-        def grow(remaining: frozenset, acc: tuple, cost: int):
+        def grow(remaining: int, acc: tuple, cost: int):
             if not remaining:
                 yield acc, cost
                 return
-            pivot = min(remaining)
-            others = sorted(remaining - {pivot})
-            for mask in range(1 << len(others)):
-                part = frozenset(
-                    [pivot] + [others[i] for i in range(len(others)) if mask >> i & 1]
-                )
-                if self._cut(part) > self.wmax:
+            for part in self._pieces(remaining):
+                if self.cut[part] > self.wmax:
                     continue
                 c = self._min_empties(part)
                 if cost + c > cap:
                     continue
-                yield from grow(remaining - part, acc + (part,), int(cost + c))
+                yield from grow(remaining ^ part, acc + (part,), int(cost + c))
 
         yield from grow(rest, (), 0)
 
 
-def _subsets_by_size(y: frozenset):
-    items = sorted(y)
-    by_size: list[list[frozenset]] = [[] for _ in range(len(items) + 1)]
-    for mask in range(1 << len(items)):
-        s = frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
-        by_size[len(s)].append(s)
-    for bucket in by_size:
-        for s in sorted(bucket, key=sorted):
-            yield s
+def _cut_table(g: MultiGraph) -> list[int]:
+    """cut[m] is the number of edge copies leaving the vertex set m, bit i
+    of m standing for the i-th smallest vertex of g."""
+    bit = {v: 1 << i for i, v in enumerate(g.sorted_vertices())}
+    pairs = [(bit[u], bit[v], m) for u, v, m in g.edge_pairs() if u != v]
+    return [
+        sum(m for a, b, m in pairs if bool(s & a) != bool(s & b))
+        for s in range(1 << len(bit))
+    ]
+
+
+def _center_size(cut: list[int], nbag: int, groups: list[int], level: int) -> int:
+    """Vertex count of center(consolidate(g, x, groups), x, level), from
+    g's cut table alone, when x and the disjoint non-empty groups cover
+    V(g) and groups is in consolidation order.
+
+    Bag vertices are never removed and nothing done to them changes a
+    group vertex, so the bag acts as one sink whose edges are never
+    tracked. A group vertex starts with degree cut[group]. Deleting a
+    degree-1 vertex lowers its neighbour's degree; suppressing a degree-2
+    vertex keeps its neighbours' degrees, and a parallel pair folds into a
+    loop on the neighbour. Loops need no count of their own: a vertex of
+    degree 2 with a loop has no other edge, so it is deleted as it would
+    be suppressed, with no effect on anything else. Group vertices are
+    visited in ascending order, restarting after every change, as center
+    does.
+    """
+    deg = [cut[a] for a in groups]
+    if level == 1:
+        return nbag + sum(1 for d in deg if d)
+    k = len(groups)
+    mult = [
+        [0 if i == j else (cut[a] + cut[b] - cut[a | b]) // 2 for j, b in enumerate(groups)]
+        for i, a in enumerate(groups)
+    ]
+    alive = [True] * k
+    changed = True
+    while changed:
+        changed = False
+        for v in range(k):
+            if not alive[v]:
+                continue
+            d = deg[v]
+            if d > 2 or (d == 2 and level == 2):
+                continue
+            alive[v] = False
+            changed = True
+            ends = []  # v's group neighbours, one entry per edge copy
+            for j in range(k):
+                if mult[v][j]:
+                    ends += [j] * mult[v][j]
+                    mult[j][v] = 0
+            if d <= 1:
+                for j in ends:
+                    deg[j] -= 1
+            elif len(ends) == 2 and ends[0] != ends[1]:
+                a, b = ends
+                mult[a][b] += 1
+                mult[b][a] += 1
+            # otherwise every group end keeps its degree: a parallel pair
+            # folds into a loop there, or the new edge runs to the bag
+            break
+    return nbag + sum(alive)
 
 
 def exact_treewidth(g: MultiGraph, max_vertices: int = 14) -> int:

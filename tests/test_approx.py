@@ -11,8 +11,14 @@ from treecuts.approx import (
     approximate_stcw,
     oracle_provider,
 )
-from treecuts.decomposition import TreeCutDecomposition, is_very_nice, validate, width_report
-from treecuts.families import windmill
+from treecuts.decomposition import (
+    TreeCutDecomposition,
+    is_very_nice,
+    singleton_decomposition,
+    validate,
+    width_report,
+)
+from treecuts.families import wall, windmill
 from treecuts.multigraph import MultiGraph
 
 from conftest import cached_width, random_connected_simple
@@ -145,3 +151,17 @@ def test_oracle_provider_width_contract():
             d = oracle_provider(g, omega)
             if d is not None:
                 assert width_report(d, g).width <= 2 * omega
+
+
+def test_provider_width_contract_enforced():
+    # the one-bag decomposition of wall(8) has width far above 2*omega;
+    # it once came back "certified" with slim width 64 > slim_bound 48
+    g = wall(8)
+    with pytest.raises(ProviderError, match="width"):
+        approximate_stcw(g, 1, provider=lambda h, omega: singleton_decomposition(h))
+
+    def drops_a_vertex(h, omega):
+        return TreeCutDecomposition(0, {0: None}, {0: set(h.vertices()) - {0}})
+
+    with pytest.raises(ProviderError, match="invalid"):
+        approximate_stcw(tree6(), 1, provider=drops_a_vertex)

@@ -1,11 +1,25 @@
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treecuts.decomposition import validate, width_report
+from treecuts.decomposition import center, consolidate, validate, width_report
 from treecuts.families import star, windmill
+from treecuts.formats import decomposition_to_json
 from treecuts.multigraph import MultiGraph
-from treecuts.oracle import SizeLimitError, exact_treewidth, exact_width
+from treecuts.oracle import (
+    SizeLimitError,
+    _center_size,
+    _cut_table,
+    exact_treewidth,
+    exact_width,
+)
 
-from conftest import cached_width
+from conftest import cached_width, connected_graphs_upto, random_connected_multi
+
+VARIANTS = ("tcw", "stcw", "tcw0")
 
 
 def k2():
@@ -126,3 +140,81 @@ def test_exact_treewidth_ignores_multiedges():
     g = MultiGraph(range(3), [(0, 1), (1, 2), (0, 2), (0, 1)])
     g.add_edge(2, 2)
     assert exact_treewidth(g) == 2
+
+
+# recorded from the frozenset search that the bit-mask search replaced
+GOLDEN_DIGEST = "34495ee97b343ef72f59017846111f15047e9c21f0cca7c2780e164790943c12"
+
+
+def golden_calls():
+    """A fixed list of (graph, variant, keyword arguments) oracle calls."""
+    calls = []
+    for g in connected_graphs_upto(5):
+        calls += [(g, var, {}) for var in VARIANTS]
+    rng = random.Random(2206)
+    loopy = [random_connected_multi(rng, n, n, loops=True) for n in (2, 3, 4, 5, 5)]
+    one = MultiGraph([0])
+    one.add_edge(0, 0)
+    loopy.append(one)
+    for g in loopy:
+        calls += [(g, var, {}) for var in VARIANTS]
+    for budget in (0, 3):
+        calls += [(cycle(5), var, {"empty_budget": budget}) for var in VARIANTS]
+        calls.append((star(4), "tcw", {"empty_budget": budget}))
+    calls.append((cycle(7), "stcw", {"max_vertices": 7}))
+    return calls
+
+
+def golden_digest() -> str:
+    h = hashlib.sha256()
+    for g, var, kw in golden_calls():
+        value, d = exact_width(g, var, **kw)
+        h.update(f"{var} {value}\n{decomposition_to_json(d)}\n".encode())
+    return h.hexdigest()
+
+
+def test_first_optimum_golden():
+    # the first optimum depends on the enumeration order of bags and
+    # parts; any drift in that order changes this digest
+    assert golden_digest() == GOLDEN_DIGEST
+
+
+def kernel_and_reference(g, bag, groups, level):
+    bit = {v: 1 << i for i, v in enumerate(g.sorted_vertices())}
+    masks = [sum(bit[v] for v in grp) for grp in groups]
+    got = _center_size(_cut_table(g), len(bag), masks, level)
+    want = center(consolidate(g, bag, groups), bag, level).num_vertices()
+    return got, want
+
+
+@st.composite
+def torsos(draw):
+    n = draw(st.integers(1, 7))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    g = MultiGraph(range(n), draw(st.lists(pairs, max_size=14)))
+    # label -1 puts a vertex in the bag; other labels name its group
+    labels = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    bag = {v for v in range(n) if labels[v] < 0}
+    groups = [
+        {v for v in range(n) if labels[v] == lab}
+        for lab in dict.fromkeys(lab for lab in labels if lab >= 0)
+    ]
+    return g, bag, groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(torsos())
+def test_center_size_kernel_matches_reference(case):
+    g, bag, groups = case
+    for level in (1, 2, 3):
+        got, want = kernel_and_reference(g, bag, groups, level)
+        assert got == want, (sorted(g.edges()), bag, groups, level)
+
+
+def test_center_size_kernel_folds_parallel_pair_into_loop():
+    # group {2} hangs off group {1} by a parallel pair; suppressing it
+    # leaves a loop on {1}, whose degree stays 3, so {1} survives level 3
+    g = MultiGraph(range(3), [(1, 2), (1, 2), (0, 1)])
+    for groups in ([{2}, {1}], [{1}, {2}]):
+        assert kernel_and_reference(g, {0}, groups, 3) == (2, 2)
+        assert kernel_and_reference(g, {0}, groups, 2) == (3, 3)
