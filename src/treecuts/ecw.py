@@ -209,33 +209,16 @@ def spanning_tree_count(g: MultiGraph) -> int:
     return total
 
 
-class _DSU:
-    def __init__(self, vs):
-        self.p = {v: v for v in vs}
-
-    def find(self, v):
-        while self.p[v] != v:
-            self.p[v] = self.p[self.p[v]]
-            v = self.p[v]
-        return v
-
-    def union(self, u, v):
-        self.p[self.find(u)] = self.find(v)
-
-    def snapshot(self):
-        return dict(self.p)
-
-    def restore(self, snap):
-        self.p = dict(snap)
-
-
 def exact_ecw(g: MultiGraph, budget: int = 10**6) -> tuple[int, SpanningWitness]:
     """Minimum edge-cut width of g over its own maximal spanning forests.
 
     No ghosts are introduced, so this is ecw(g) exactly. The achieving
-    forest is the lexicographically least among the optima (the
-    include-before-exclude recursion over lex-sorted edge pairs visits
-    forests in lexicographic order of their sorted edge tuples).
+    forest is the lexicographically least among the optima: the
+    include-before-exclude search over lex-sorted edge pairs visits
+    forests in lexicographic order of their sorted edge tuples, a leaf
+    replaces the incumbent only when strictly better, and a branch is cut
+    only when no forest below it can be. The budget caps the spanning
+    forest count of g, whatever the search ends up visiting.
     """
     if g.num_vertices() == 0:
         return 0, SpanningWitness(g.copy(), g.copy(), frozenset())
@@ -244,36 +227,197 @@ def exact_ecw(g: MultiGraph, budget: int = 10**6) -> tuple[int, SpanningWitness]
         raise BudgetExceededError(
             f"{count} spanning trees exceed the enumeration budget {budget}"
         )
-    pairs = sorted((u, v) for u, v, _ in g.edge_pairs() if u != v)
-    needed = g.num_vertices() - len(g.components())
-    best_val: int | None = None
-    best_forest: tuple[EdgePair, ...] | None = None
-    dsu = _DSU(g.vertices())
+    vs = g.sorted_vertices()
+    idx = {v: i for i, v in enumerate(vs)}
+    loops = [0] * len(vs)
+    pairs = []
+    for u, v, m in g.edge_pairs():
+        if u == v:
+            loops[idx[u]] = m
+        else:
+            pairs.append((idx[u], idx[v], m))
+    pairs.sort()
+    value, chosen = _least_forest(loops, pairs)
+    forest = frozenset((vs[a], vs[b]) for a, b in chosen)
+    return value, SpanningWitness(g.copy(), g.copy(), forest)
+
+
+def _least_forest(
+    loops: list[int], pairs: list[tuple[int, int, int]]
+) -> tuple[int, tuple[EdgePair, ...]]:
+    """Branch-and-bound behind exact_ecw over vertices 0..n-1.
+
+    loops[x] counts the loops at x; pairs are the distinct non-loop pairs
+    (a, b, multiplicity), lex-sorted. Pair i is first included, then
+    excluded; a pair whose ends the forest already joins is excluded
+    outright. Excluding is tried only if a and b stay joinable through the
+    forest and pairs[i+1:], so every pass through all pairs ends in a
+    maximal spanning forest.
+
+    Charges are kept per vertex as the search goes, with an undo log. An
+    included pair charges its ends m - 1 and an excluded one its ends m at
+    once; the interior of an excluded pair's forest path is charged when
+    that path is fixed, on exclusion if its ends are joined already and
+    otherwise at the union that joins them. A branch is cut once
+    1 + max charge reaches the best value found.
+    """
+    n = len(loops)
+    charge = loops[:]
+    log: list[tuple[list[int] | EdgePair, int]] = []
+    fadj = [0] * n  # forest neighbour masks
+    # suf[i][x]: neighbours of x through pairs[i:]
+    suf = [[0] * n]
+    for a, b, _ in reversed(pairs):
+        row = suf[-1][:]
+        row[a] |= 1 << b
+        row[b] |= 1 << a
+        suf.append(row)
+    suf.reverse()
+    # union by rank, undone by hand; comp[r] is the vertex mask of root r
+    par = list(range(n))
+    rank = [0] * n
+    comp = [1 << x for x in range(n)]
+    # the forest rooted per tree: parent (-1 at a root) and depth
+    up = [-1] * n
+    depth = [0] * n
     chosen: list[EdgePair] = []
+    best = sum(m for _, _, m in pairs) + sum(loops) + 2  # above any value
+    best_forest: tuple[EdgePair, ...] = ()
 
-    def rec(i: int):
-        nonlocal best_val, best_forest
-        if len(chosen) == needed:
-            val = ecw_value(g, set(chosen))
-            if best_val is None or val < best_val:
-                best_val = val
+    def find(x: int) -> int:
+        while par[x] != x:
+            x = par[x]
+        return x
+
+    def joinable(a: int, b: int, extra: list[int]) -> bool:
+        """Whether b is reachable from a over forest and extra edges."""
+        target = 1 << b
+        seen = front = 1 << a
+        while front:
+            nxt = 0
+            while front:
+                low = front & -front
+                x = low.bit_length() - 1
+                nxt |= fadj[x] | extra[x]
+                front ^= low
+            if nxt & target:
+                return True
+            front = nxt & ~seen
+            seen |= front
+        return False
+
+    def path(a: int, b: int) -> list[int]:
+        """Vertices inside the forest path a..b, ends excluded."""
+        out = []
+        x, y = a, b
+        while depth[x] > depth[y]:
+            x = up[x]
+            out.append(x)
+        while depth[y] > depth[x]:
+            y = up[y]
+            out.append(y)
+        while x != y:
+            x = up[x]
+            y = up[y]
+            out.append(x)
+            if x != y:
+                out.append(y)
+        if x == a or x == b:  # one end is the other's ancestor
+            out.pop()
+        return out
+
+    def hang(b: int, a: int) -> list[tuple[int, int, int]]:
+        """Re-root the tree of b at b and hang it below a; the old
+        (vertex, parent, depth) entries, for undoing."""
+        old = [(b, up[b], depth[b])]
+        up[b] = a
+        depth[b] = depth[a] + 1
+        stack = [b]
+        while stack:
+            x = stack.pop()
+            d = depth[x] + 1
+            kids = fadj[x] & ~(1 << up[x])
+            while kids:
+                low = kids & -kids
+                c = low.bit_length() - 1
+                kids ^= low
+                old.append((c, up[c], depth[c]))
+                up[c] = x
+                depth[c] = d
+                stack.append(c)
+        return old
+
+    def add(xs: list[int] | EdgePair, m: int, top: int) -> int:
+        """Charge every vertex of xs by m; the new max charge."""
+        for x in xs:
+            c = charge[x] + m
+            charge[x] = c
+            if c > top:
+                top = c
+        log.append((xs, m))
+        return top
+
+    def undo(mark: int) -> None:
+        while len(log) > mark:
+            xs, m = log.pop()
+            for x in xs:
+                charge[x] -= m
+
+    def rec(i: int, pending: list[tuple[int, int, int]], top: int) -> None:
+        nonlocal best, best_forest
+        mark = len(log)
+        while top + 1 < best:
+            if i == len(pairs):
+                best = top + 1
                 best_forest = tuple(chosen)
-            return
-        if len(pairs) - i < needed - len(chosen):
-            return
-        u, v = pairs[i]
-        if dsu.find(u) != dsu.find(v):
-            snap = dsu.snapshot()
-            dsu.union(u, v)
-            chosen.append((u, v))
-            rec(i + 1)
+                break
+            a, b, m = pairs[i]
+            ra, rb = find(a), find(b)
+            i += 1
+            if ra == rb:
+                xs = path(a, b)
+                xs += (a, b)
+                top = add(xs, m, top)
+                continue
+            inner = len(log)
+            t = add((a, b), m - 1, top) if m > 1 else top
+            if rank[ra] < rank[rb]:
+                ra, rb = rb, ra
+            bump = rank[ra] == rank[rb]
+            rank[ra] += bump
+            par[rb] = ra
+            ca, cb = comp[ra], comp[rb]
+            both = comp[ra] = ca | cb
+            small = ca if ca.bit_count() <= cb.bit_count() else cb
+            moved = hang(b, a) if small >> b & 1 else hang(a, b)
+            fadj[a] |= 1 << b
+            fadj[b] |= 1 << a
+            chosen.append((a, b))
+            rest = []
+            for p in pending:
+                x, y, k = p
+                if both >> x & both >> y & 1:  # the union joins x and y
+                    t = add(path(x, y), k, t)
+                else:
+                    rest.append(p)
+            rec(i, rest, t)
             chosen.pop()
-            dsu.restore(snap)
-        rec(i + 1)
+            fadj[a] ^= 1 << b
+            fadj[b] ^= 1 << a
+            comp[ra] = ca
+            par[rb] = rb
+            rank[ra] -= bump
+            for x, u, d in moved:
+                up[x] = u
+                depth[x] = d
+            undo(inner)
+            if joinable(a, b, suf[i]):
+                rec(i, pending + [(a, b, m)], add((a, b), m, top))
+            break
+        undo(mark)
 
-    rec(0)
-    assert best_val is not None and best_forest is not None
-    return best_val, SpanningWitness(g.copy(), g.copy(), frozenset(best_forest))
+    rec(0, [], max(charge))
+    return best, best_forest
 
 
 def _dfs_forest(g: MultiGraph) -> frozenset[EdgePair]:

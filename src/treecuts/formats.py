@@ -12,6 +12,11 @@ from .ecw import SpanningWitness
 from .multigraph import MultiGraph
 
 
+def _is_id(x) -> bool:
+    """A JSON vertex or node id: an int, but not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_edge_list(text: str) -> MultiGraph:
     """Header "n m", then m lines "u v" with 0-based ids; '#' starts a
     comment; repeated lines denote parallel edges."""
@@ -83,24 +88,24 @@ def parse_decomposition_json(text: str) -> TreeCutDecomposition:
         raise ValueError(f"not valid JSON: {e}") from None
     if not isinstance(obj, dict) or "root" not in obj or "nodes" not in obj:
         raise ValueError('expected an object with "root" and "nodes"')
+    if not isinstance(obj["nodes"], list):
+        raise ValueError('"nodes" must be a list')
     parent: dict[int, int | None] = {}
     bags: dict[int, set[int]] = {}
     for entry in obj["nodes"]:
         if not isinstance(entry, dict) or not {"id", "parent", "bag"} <= set(entry):
             raise ValueError('each node needs "id", "parent" and "bag"')
         t = entry["id"]
-        if not isinstance(t, int) or t in parent:
+        if not _is_id(t) or t in parent:
             raise ValueError(f"bad or duplicate node id {t!r}")
         p = entry["parent"]
-        if p is not None and not isinstance(p, int):
+        if p is not None and not _is_id(p):
             raise ValueError(f"bad parent for node {t}")
-        if not isinstance(entry["bag"], list) or not all(
-            isinstance(v, int) for v in entry["bag"]
-        ):
+        if not isinstance(entry["bag"], list) or not all(map(_is_id, entry["bag"])):
             raise ValueError(f"bad bag for node {t}")
         parent[t] = p
         bags[t] = set(entry["bag"])
-    if not isinstance(obj["root"], int):
+    if not _is_id(obj["root"]):
         raise ValueError("bad root id")
     return TreeCutDecomposition(obj["root"], parent, bags)
 
@@ -131,8 +136,10 @@ def parse_witness_json(text: str) -> SpanningWitness:
         raise ValueError(f"expected an object with {sorted(keys)}")
     gv = obj["graph_vertices"]
     hv = obj["ghost_vertices"]
-    if not all(isinstance(v, int) for v in gv + hv):
-        raise ValueError("vertex lists must hold integers")
+    if not (isinstance(gv, list) and isinstance(hv, list) and all(map(_is_id, gv + hv))):
+        raise ValueError("vertex lists must be lists of integers")
+    if not (isinstance(obj["edges"], list) and isinstance(obj["tree_edges"], list)):
+        raise ValueError("edges and tree edges must be lists")
     if set(gv) & set(hv):
         raise ValueError("a vertex cannot be both real and ghost")
     base = MultiGraph(gv)
@@ -141,6 +148,8 @@ def parse_witness_json(text: str) -> SpanningWitness:
         if not isinstance(e, dict) or not {"u", "v", "ghost"} <= set(e):
             raise ValueError('each edge needs "u", "v" and "ghost"')
         u, v, ghost = e["u"], e["v"], e["ghost"]
+        if not (_is_id(u) and _is_id(v)):
+            raise ValueError(f"edge ends must be integers, not ({u!r},{v!r})")
         if not host.has_vertex(u) or not host.has_vertex(v):
             raise ValueError(f"edge ({u},{v}) uses an unknown vertex")
         if not ghost:
@@ -150,8 +159,8 @@ def parse_witness_json(text: str) -> SpanningWitness:
         host.add_edge(u, v)
     forest = set()
     for pair in obj["tree_edges"]:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValueError("tree edges must be [u, v] pairs")
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_id, pair))):
+            raise ValueError("tree edges must be [u, v] pairs of integers")
         u, v = pair
         forest.add((u, v) if u <= v else (v, u))
     return SpanningWitness(base, host, frozenset(forest))

@@ -1,9 +1,14 @@
+import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecuts.ecw import (
     BudgetExceededError,
+    EdgePair,
     SpanningWitness,
     ecw_value,
     exact_ecw,
@@ -196,3 +201,87 @@ def test_random_agreement_forest_vs_recount():
         assert validate_witness(w) == []
         assert witness_ecw(w) == val
         assert val <= feedback_edge_number(g) + 1
+
+
+def golden_graphs() -> list[MultiGraph]:
+    """Fixed exact_ecw corpus: ladders, c4, k4, seeded loopy multigraphs
+    with parallel edges, and one disconnected graph."""
+    gs = [ladder(r) for r in range(2, 9)] + [c4(), k4()]
+    rng = random.Random(2211)
+    for n, extra in ((8, 8), (8, 10), (9, 8), (9, 10)):
+        gs.append(random_connected_multi(rng, n, extra, loops=True))
+    # a triangle with a doubled side, a looped vertex 3, K4 on 4..7 and
+    # the isolated vertex 8
+    triangle_and_loop = [(0, 1), (1, 2), (0, 2), (0, 1), (3, 3)]
+    k4_on_4_7 = [(a, b) for a in range(4, 8) for b in range(a + 1, 8)]
+    gs.append(MultiGraph(range(9), triangle_and_loop + k4_on_4_7))
+    return gs
+
+
+GOLDEN_DIGEST = "339f1303d0e37db5b3d65ccda51f847a78f5432212047f51c18d70095f03228f"
+
+
+def golden_digest() -> str:
+    h = hashlib.sha256()
+    for g in golden_graphs():
+        val, w = exact_ecw(g)
+        h.update(f"{val} {sorted(w.forest)}\n".encode())
+    return h.hexdigest()
+
+
+def test_exact_ecw_golden():
+    # pins both the optimum and the lex-least forest reaching it
+    assert golden_digest() == GOLDEN_DIGEST
+
+
+def reference_ecw(g: MultiGraph) -> tuple[int, list[EdgePair]]:
+    """First minimum of ecw_value over the maximal spanning forests of g,
+    taken as combinations of its sorted distinct pairs: lex-least."""
+    pairs = sorted((u, v) for u, v, _ in g.edge_pairs() if u != v)
+    comps = len(g.components())
+    best = None
+    for forest in itertools.combinations(pairs, g.num_vertices() - comps):
+        if len(MultiGraph(g.vertices(), forest).components()) != comps:
+            continue  # a cycle somewhere
+        val = ecw_value(g, set(forest))
+        if best is None or val < best[0]:
+            best = (val, list(forest))
+    return best
+
+
+@st.composite
+def small_multigraphs(draw):
+    n = draw(st.integers(1, 7))
+    labels = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True))
+    ends = st.sampled_from(labels)
+    return MultiGraph(labels, draw(st.lists(st.tuples(ends, ends), max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_multigraphs())
+def test_exact_ecw_matches_reference(g):
+    val, w = exact_ecw(g)
+    assert (val, sorted(w.forest)) == reference_ecw(g)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_spanning_tree_count_matches_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    # every seed here draws parallel pairs, and four of them draw loops
+    g = random_connected_multi(rng, rng.randint(2, 8), rng.randint(2, 10), loops=True)
+    h = nx.MultiGraph()
+    h.add_nodes_from(g.vertices())
+    h.add_edges_from(g.edges())
+    assert spanning_tree_count(g) == round(nx.number_of_spanning_trees(h))
+
+
+def test_ladder12_within_raised_budget():
+    # 2,107,560 spanning trees: above the default budget, but pruning
+    # keeps the search to a small part of them
+    g = ladder(12)
+    assert spanning_tree_count(g) == 2107560
+    val, w = exact_ecw(g, budget=3 * 10**6)
+    assert val == 3
+    assert validate_witness(w) == []
+    assert witness_ecw(w) == 3

@@ -1,9 +1,15 @@
+import contextlib
+import io
+import json
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treecuts import cli
 from treecuts.decomposition import TreeCutDecomposition
 from treecuts.ecw import SpanningWitness, validate_witness
 from treecuts.formats import (
@@ -178,3 +184,70 @@ def test_decomposition_json_round_trip_random(seed):
     back = parse_decomposition_json(text)
     assert (back.root, back.parent, back.bags) == (d.root, d.parent, d.bags)
     assert decomposition_to_json(back) == text
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+ids = st.integers(-1, 4) | json_values
+witness_like = st.fixed_dictionaries({
+    "graph_vertices": st.lists(ids, max_size=4) | json_values,
+    "ghost_vertices": st.lists(ids, max_size=2) | json_values,
+    "edges": st.lists(
+        st.fixed_dictionaries({"u": ids, "v": ids, "ghost": json_values}), max_size=4
+    ) | json_values,
+    "tree_edges": st.lists(st.lists(ids, max_size=3), max_size=3) | json_values,
+})
+decomposition_like = st.fixed_dictionaries({
+    "root": ids,
+    "nodes": st.lists(
+        st.fixed_dictionaries({"id": ids, "parent": ids, "bag": st.lists(ids, max_size=3)}),
+        max_size=3,
+    ) | json_values,
+})
+
+
+@given(json_values | witness_like | decomposition_like)
+@settings(max_examples=300, deadline=None)
+def test_parsers_reject_only_with_value_error(value):
+    text = json.dumps(value)
+    for parse in (parse_witness_json, parse_decomposition_json, parse_edge_list):
+        try:
+            parse(text)
+        except ValueError:
+            pass
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["verify-witness", path])
+        assert code in (0, 1, 2, 3)
+    finally:
+        os.remove(path)
+
+
+@pytest.mark.parametrize("bad", [
+    {"graph_vertices": "ab"},
+    {"ghost_vertices": 3},
+    {"graph_vertices": [0, True]},
+    {"edges": [{"u": [0], "v": 1, "ghost": False}]},
+    {"edges": 5},
+    {"tree_edges": [["a", 1]]},
+    {"tree_edges": [[0, False]]},
+])
+def test_witness_json_rejects_mistyped_fields(bad):
+    obj = {
+        "graph_vertices": [0, 1],
+        "ghost_vertices": [],
+        "edges": [{"u": 0, "v": 1, "ghost": False}],
+        "tree_edges": [[0, 1]],
+    }
+    parse_witness_json(json.dumps(obj))
+    obj.update(bad)
+    with pytest.raises(ValueError):
+        parse_witness_json(json.dumps(obj))
