@@ -16,7 +16,6 @@ from typing import Callable, Optional
 from .decomposition import (
     InvalidDecompositionError,
     TreeCutDecomposition,
-    node_stats,
     width_report,
 )
 from .multigraph import MultiGraph
@@ -110,7 +109,8 @@ def approximate_stcw(
     if width > 2 * omega:
         raise ProviderError(f"provider returned width {width} > 2*omega = {2 * omega}")
     dvn = make_very_nice(d0, g)
-    b2_sizes = {t: len(node_stats(dvn, g, t).children_B2) for t in dvn.nodes()}
+    rep = width_report(dvn, g)
+    b2_sizes = {t: len(s.children_B2) for t, s in rep.per_node.items()}
     if any(v > threshold for v in b2_sizes.values()):
         return ApproxResult(
             accepted=False,
@@ -121,7 +121,7 @@ def approximate_stcw(
             decomposition=dvn,
             b2_sizes=b2_sizes,
         )
-    slim = width_report(dvn, g).slim_width
+    slim = rep.slim_width
     if slim > bound:
         raise RuntimeError(f"slim width {slim} exceeds the bound {bound}; not certifying")
     return ApproxResult(

@@ -11,8 +11,15 @@ import sys
 
 from . import formats
 from .approx import ExternalProvider, approximate_stcw, oracle_provider
-from .decomposition import validate, width_report
-from .ecw import BudgetExceededError, exact_ecw, sec_upper, validate_witness, witness_ecw
+from .decomposition import TreeCutDecomposition, validate, width_report
+from .ecw import (
+    BudgetExceededError,
+    SpanningWitness,
+    exact_ecw,
+    sec_upper,
+    validate_witness,
+    witness_ecw,
+)
 from .edp import edp_bruteforce, edp_solve_dp
 from .families import make_family
 from .multigraph import MultiGraph
@@ -239,18 +246,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if yes else 1
 
     if args.command == "export-dot":
-        text = _read(args.input)
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            obj = json.loads(stripped)
-            if isinstance(obj, dict) and "graph_vertices" in obj:
-                dot = formats.witness_to_dot(formats.parse_witness_json(text))
-            elif isinstance(obj, dict) and "nodes" in obj:
-                dot = formats.decomposition_to_dot(formats.parse_decomposition_json(text))
-            else:
-                raise ValueError("JSON input is neither a witness nor a decomposition")
+        art = formats.load_artifact(_read(args.input))
+        if isinstance(art, SpanningWitness):
+            dot = formats.witness_to_dot(art)
+        elif isinstance(art, TreeCutDecomposition):
+            dot = formats.decomposition_to_dot(art)
         else:
-            dot = formats.graph_to_dot(formats.parse_edge_list(text))
+            dot = formats.graph_to_dot(art)
         _emit(dot, args.output)
         return 0
 

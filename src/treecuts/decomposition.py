@@ -6,12 +6,17 @@ notions reduce to two per-node quantities: the adhesion (edges crossing
 the cut below the node) and the size of a center of the node's torso,
 where the torso consolidates every other subtree into a single vertex
 and the center prunes it at one of three levels.
+
+The evaluators (width_report, node_stats, the niceness checks) read all
+nodes off one pass over the tree and the edges, with no torso graph
+built; torso, consolidate and center build those graphs explicitly and
+are the reference the pass is tested against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, _norm
 
 
 class InvalidDecompositionError(ValueError):
@@ -56,14 +61,6 @@ class TreeCutDecomposition:
         for s in self.subtree_nodes(t):
             out |= self.bags[s]
         return out
-
-    def depth(self, t: int) -> int:
-        d = 0
-        cur = self.parent[t]
-        while cur is not None:
-            d += 1
-            cur = self.parent[cur]
-        return d
 
     def copy(self) -> "TreeCutDecomposition":
         return TreeCutDecomposition(
@@ -236,6 +233,60 @@ def center(h: MultiGraph, x: set[int], level: int) -> MultiGraph:
     return out
 
 
+def _center_size(
+    nbag: int, deg: list[int], mult: list[list[int]], level: int
+) -> int:
+    """Vertex count of center(h, x, level) for a torso-like h: the |x| =
+    nbag bag vertices plus one vertex per consolidated group, where group
+    i has deg[i] edge copies leaving it and mult[i][j] copies run between
+    groups i and j (the rest end in the bag). Groups come in h's vertex
+    order, which consolidation makes their order in the parts list. deg
+    and mult serve as scratch space and are changed; mult is not read at
+    level 1.
+
+    Bag vertices are never removed and nothing done to them changes a
+    group vertex, so the bag acts as one sink whose edges are never
+    tracked. Deleting a degree-1 vertex lowers its neighbour's degree;
+    suppressing a degree-2 vertex keeps its neighbours' degrees, and a
+    parallel pair folds into a loop on the neighbour. Loops need no count
+    of their own: a vertex of degree 2 with a loop has no other edge, so
+    it is deleted as it would be suppressed, with no effect on anything
+    else. Group vertices are visited in ascending order, restarting after
+    every change, as center does.
+    """
+    if level == 1:
+        return nbag + sum(1 for d in deg if d)
+    k = len(deg)
+    alive = [True] * k
+    changed = True
+    while changed:
+        changed = False
+        for v in range(k):
+            if not alive[v]:
+                continue
+            d = deg[v]
+            if d > 2 or (d == 2 and level == 2):
+                continue
+            alive[v] = False
+            changed = True
+            ends = []  # v's group neighbours, one entry per edge copy
+            for j in range(k):
+                if mult[v][j]:
+                    ends += [j] * mult[v][j]
+                    mult[j][v] = 0
+            if d <= 1:
+                for j in ends:
+                    deg[j] -= 1
+            elif len(ends) == 2 and ends[0] != ends[1]:
+                a, b = ends
+                mult[a][b] += 1
+                mult[b][a] += 1
+            # otherwise every group end keeps its degree: a parallel pair
+            # folds into a loop there, or the new edge runs to the bag
+            break
+    return nbag + sum(alive)
+
+
 @dataclass
 class NodeStats:
     adhesion: int
@@ -249,41 +300,6 @@ class NodeStats:
     b2_lower_bound: int | None = None  # tor2 - 3k - 2 when a width hint is given
 
 
-def node_stats(
-    d: TreeCutDecomposition, g: MultiGraph, t: int, k_hint: int | None = None
-) -> NodeStats:
-    if t not in d.parent:
-        raise KeyError(f"unknown node {t}")
-    h = torso(d, g, t)
-    bag = d.bags[t]
-    adh = adhesion(d, g, t)
-    tor = center(h, bag, 3).num_vertices()
-    tor2 = center(h, bag, 2).num_vertices()
-    tor1 = center(h, bag, 1).num_vertices()
-    a_set, b_set, b2_set = set(), set(), set()
-    for b in d.children(t):
-        yb = d.subtree_vertices(b)
-        nb = g.neighborhood(yb)
-        if len(nb) <= 2 and nb <= bag:
-            b_set.add(b)
-            if g.cut_size(yb) == 2:
-                b2_set.add(b)
-        else:
-            a_set.add(b)
-    bound = None if k_hint is None else tor2 - 3 * k_hint - 2
-    return NodeStats(
-        adhesion=adh,
-        tor=tor,
-        tor2=tor2,
-        tor1=tor1,
-        thin=adh <= 2,
-        children_A=frozenset(a_set),
-        children_B=frozenset(b_set),
-        children_B2=frozenset(b2_set),
-        b2_lower_bound=bound,
-    )
-
-
 @dataclass
 class WidthReport:
     width: int
@@ -292,61 +308,203 @@ class WidthReport:
     per_node: dict[int, NodeStats]
 
 
+class _TreePass:
+    """Everything the width and niceness checks read off one decomposition
+    state, from one traversal of the tree and one sweep over g's edges.
+
+    The traversal gives children (ascending), depths, a preorder in which
+    every subtree is a contiguous run, and Y_t for every node. The sweep
+    walks each edge up from the nodes of its two ends to their lowest
+    common ancestor. The edge crosses the cut of every node passed below
+    that ancestor, which gives adhesions and the outside neighbourhoods
+    N(Y_t). At a passed node other than an end's own node, the edge joins
+    two groups of that node's torso: the child it came up from and the
+    group of everything outside Y_t. At the ancestor it joins the two
+    children it came up from, unless an end sits in the ancestor's bag.
+    Those counts are the edges between the consolidated groups of every
+    torso, so center sizes come from _center_size with no torso built.
+
+    The pass reflects the tree as it was when built: recompute it after
+    any change. Raises InvalidDecompositionError on an invalid d.
+    """
+
+    def __init__(self, d: TreeCutDecomposition, g: MultiGraph):
+        violations = validate(d, g)
+        if violations:
+            raise InvalidDecompositionError(violations)
+        self.d, self.g = d, g
+        self.parent = parent = d.parent
+        self.nodes = sorted(parent)
+        self.children = children = d.children_map()
+        self.depth = depth = {d.root: 0}
+        self.order = order = []  # preorder
+        stack = [d.root]
+        while stack:
+            t = stack.pop()
+            order.append(t)
+            for c in children[t]:
+                depth[c] = depth[t] + 1
+                stack.append(c)
+        self.pos = {t: i for i, t in enumerate(order)}
+        self.size: dict[int, int] = {}  # nodes in the subtree
+        self.ys: dict[int, set[int]] = {}  # Y_t
+        for t in reversed(order):
+            y = set(d.bags[t])
+            size = 1
+            for c in children[t]:
+                y |= self.ys[c]
+                size += self.size[c]
+            self.ys[t], self.size[t] = y, size
+        self.owner = {v: t for t, bag in d.bags.items() for v in bag}
+        self.adhesion = adh = dict.fromkeys(parent, 0)
+        self.outside: dict[int, set[int]] = {t: set() for t in parent}  # N(Y_t)
+        # per node, edge counts between its torso groups, keyed by
+        # (child, None) for a child and the outside, (c1, c2) for two
+        # children with c1 < c2
+        self.links: dict[int, dict] = {t: {} for t in parent}
+        for u, v, m in g.edge_pairs():
+            x, y = self.owner[u], self.owner[v]
+            below_x = below_y = None  # the node each walk came from
+            while x != y:
+                if depth[x] >= depth[y]:
+                    x, below_x = self._cross(x, below_x, v, m), x
+                else:
+                    y, below_y = self._cross(y, below_y, u, m), y
+            if below_x is not None and below_y is not None:
+                key = _norm(below_x, below_y)
+                self.links[x][key] = self.links[x].get(key, 0) + m
+
+    def _cross(self, t: int, below: int | None, far: int, m: int) -> int | None:
+        """Record m copies of an edge leaving Y_t toward the vertex far,
+        arriving from the child below (None at the edge's own end)."""
+        self.adhesion[t] += m
+        self.outside[t].add(far)
+        if below is not None:
+            key = (below, None)
+            self.links[t][key] = self.links[t].get(key, 0) + m
+        return self.parent[t]
+
+    def subtree(self, t: int) -> list[int]:
+        """Nodes of the subtree rooted at t, in preorder."""
+        i = self.pos[t]
+        return self.order[i : i + self.size[t]]
+
+    def centers(self, t: int) -> tuple[int, int, int]:
+        """Sizes of center(torso(t), bag, level) at levels 3, 2 and 1."""
+        groups: list[int | None] = [c for c in self.children[t] if self.ys[c]]
+        if t != self.d.root and len(self.ys[t]) < len(self.ys[self.d.root]):
+            groups.append(None)
+        deg = [self.adhesion[t if c is None else c] for c in groups]
+        index = {c: i for i, c in enumerate(groups)}
+        mult = [[0] * len(groups) for _ in groups]
+        for (a, b), m in self.links[t].items():
+            i, j = index[a], index[b]
+            mult[i][j] = mult[j][i] = m
+        nbag = len(self.d.bags[t])
+        tor1 = _center_size(nbag, deg, mult, 1)
+        tor2 = _center_size(nbag, list(deg), [list(row) for row in mult], 2)
+        return _center_size(nbag, deg, mult, 3), tor2, tor1
+
+    def stats(self, t: int, k_hint: int | None = None) -> NodeStats:
+        tor, tor2, tor1 = self.centers(t)
+        adh = self.adhesion[t]
+        bag = self.d.bags[t]
+        a_set, b_set, b2_set = set(), set(), set()
+        for b in self.children[t]:
+            nb = self.outside[b]
+            if len(nb) <= 2 and nb <= bag:
+                b_set.add(b)
+                if self.adhesion[b] == 2:
+                    b2_set.add(b)
+            else:
+                a_set.add(b)
+        bound = None if k_hint is None else tor2 - 3 * k_hint - 2
+        return NodeStats(
+            adhesion=adh,
+            tor=tor,
+            tor2=tor2,
+            tor1=tor1,
+            thin=adh <= 2,
+            children_A=frozenset(a_set),
+            children_B=frozenset(b_set),
+            children_B2=frozenset(b2_set),
+            b2_lower_bound=bound,
+        )
+
+    def report(self) -> WidthReport:
+        per = {t: self.stats(t) for t in self.nodes}
+        width = max((max(s.adhesion, s.tor) for s in per.values()), default=0)
+        slim = max((max(s.adhesion, s.tor2) for s in per.values()), default=0)
+        zero = max((max(s.adhesion, s.tor1) for s in per.values()), default=0)
+        return WidthReport(width=width, slim_width=slim, zero_width=zero, per_node=per)
+
+    def not_nice(self) -> list[int]:
+        """Thin non-root nodes t whose N(Y_t) meets a sibling subtree,
+        that is, holds a vertex whose node lies strictly below t's parent."""
+        bad = []
+        for t in self.nodes:
+            p = self.parent[t]
+            if p is None or self.adhesion[t] > 2:
+                continue
+            lo = self.pos[p]
+            hi = lo + self.size[p]
+            if any(lo < self.pos[self.owner[v]] < hi for v in self.outside[t]):
+                bad.append(t)
+        return bad
+
+    def crossing(self, t: int) -> list[tuple[int, int]]:
+        """Edges leaving Y_t, one (u, v) entry with u <= v per copy, sorted."""
+        y = self.ys[t]
+        out = []
+        for u, v, m in self.g.edge_pairs():
+            if (u in y) != (v in y):
+                out.extend([(u, v)] * m)
+        return out
+
+    def decomposable(self) -> list[int]:
+        out = []
+        for t in self.nodes:
+            p = self.parent[t]
+            if p is None or self.adhesion[t] != 2:
+                continue
+            nb = self.outside[t]
+            if not (len(nb) <= 2 and nb <= self.d.bags[p]):
+                continue
+            yt = self.ys[t]
+            inner = [u if u in yt else v for u, v in self.crossing(t)]
+            comp_of: dict[int, int] = {}
+            for i, comp in enumerate(self.g.induced(yt).components()):
+                for v in comp:
+                    comp_of[v] = i
+            if comp_of[inner[0]] != comp_of[inner[1]]:
+                out.append(t)
+        return out
+
+
+def node_stats(
+    d: TreeCutDecomposition, g: MultiGraph, t: int, k_hint: int | None = None
+) -> NodeStats:
+    if t not in d.parent:
+        raise KeyError(f"unknown node {t}")
+    return _TreePass(d, g).stats(t, k_hint)
+
+
 def width_report(d: TreeCutDecomposition, g: MultiGraph) -> WidthReport:
-    violations = validate(d, g)
-    if violations:
-        raise InvalidDecompositionError(violations)
-    per = {t: node_stats(d, g, t) for t in d.nodes()}
-    width = max((max(s.adhesion, s.tor) for s in per.values()), default=0)
-    slim = max((max(s.adhesion, s.tor2) for s in per.values()), default=0)
-    zero = max((max(s.adhesion, s.tor1) for s in per.values()), default=0)
-    return WidthReport(width=width, slim_width=slim, zero_width=zero, per_node=per)
+    return _TreePass(d, g).report()
 
 
 def is_nice(d: TreeCutDecomposition, g: MultiGraph) -> list[int]:
     """Node ids of thin nodes whose Y_t neighbors a sibling subtree."""
-    bad = []
-    for t in d.nodes():
-        p = d.parent[t]
-        if p is None:
-            continue
-        if adhesion(d, g, t) > 2:
-            continue
-        nbr = g.neighborhood(d.subtree_vertices(t))
-        for s in d.children(p):
-            if s != t and nbr & d.subtree_vertices(s):
-                bad.append(t)
-                break
-    return bad
+    return _TreePass(d, g).not_nice()
 
 
 def decomposable_nodes(d: TreeCutDecomposition, g: MultiGraph) -> list[int]:
     """Nodes t in B_parent with adhesion 2 whose two cut edges enter
     different components of G[Y_t]."""
-    out = []
-    for t in d.nodes():
-        p = d.parent[t]
-        if p is None:
-            continue
-        yt = d.subtree_vertices(t)
-        if g.cut_size(yt) != 2:
-            continue
-        nb = g.neighborhood(yt)
-        if not (len(nb) <= 2 and nb <= d.bags[p]):
-            continue
-        inner = []
-        for u, v, m in g.edge_pairs():
-            if (u in yt) != (v in yt):
-                inner.extend([u if u in yt else v] * m)
-        comp_of: dict[int, int] = {}
-        for i, comp in enumerate(g.induced(yt).components()):
-            for v in comp:
-                comp_of[v] = i
-        if comp_of[inner[0]] != comp_of[inner[1]]:
-            out.append(t)
-    return out
+    return _TreePass(d, g).decomposable()
 
 
 def is_very_nice(d: TreeCutDecomposition, g: MultiGraph) -> list[int]:
     """Nice violations plus decomposable nodes; empty means very nice."""
-    return sorted(set(is_nice(d, g)) | set(decomposable_nodes(d, g)))
+    tp = _TreePass(d, g)
+    return sorted(set(tp.not_nice()) | set(tp.decomposable()))

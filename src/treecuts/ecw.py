@@ -10,17 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, _norm
 
 EdgePair = tuple[int, int]
 
 
 class BudgetExceededError(RuntimeError):
     """Enumeration would visit more spanning trees than the budget allows."""
-
-
-def _norm(u: int, v: int) -> EdgePair:
-    return (u, v) if u <= v else (v, u)
 
 
 @dataclass

@@ -16,14 +16,10 @@ from __future__ import annotations
 from collections import Counter
 
 from .ecw import SpanningWitness, validate_witness
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, _norm
 from .oracle import SizeLimitError
 
 Token = tuple[int, int, int]  # (u, v, copy) with u <= v
-
-
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
 
 
 def _check_terminals(g: MultiGraph, pairs) -> list[tuple[int, int]]:

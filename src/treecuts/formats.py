@@ -9,7 +9,12 @@ import json
 
 from .decomposition import TreeCutDecomposition
 from .ecw import SpanningWitness
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, _norm
+from .oracle import SizeLimitError
+
+# largest vertex count an edge-list header may declare; the graph's
+# vertices are allocated from the header before any edge is read
+MAX_EDGE_LIST_VERTICES = 100_000
 
 
 def _is_id(x) -> bool:
@@ -37,6 +42,10 @@ def parse_edge_list(text: str) -> MultiGraph:
         raise ValueError(f"line {lineno}: expected header 'n m'") from None
     if n < 0 or m < 0:
         raise ValueError(f"line {lineno}: negative counts in header")
+    if n > MAX_EDGE_LIST_VERTICES:
+        raise SizeLimitError(
+            f"line {lineno}: {n} vertices exceed the limit {MAX_EDGE_LIST_VERTICES}"
+        )
     if len(rows) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(rows) - 1}")
     g = MultiGraph(range(n))
@@ -162,20 +171,30 @@ def parse_witness_json(text: str) -> SpanningWitness:
         if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_id, pair))):
             raise ValueError("tree edges must be [u, v] pairs of integers")
         u, v = pair
-        forest.add((u, v) if u <= v else (v, u))
+        forest.add(_norm(u, v))
     return SpanningWitness(base, host, frozenset(forest))
 
 
-def load_graph(text: str) -> MultiGraph:
-    """Edge-list or witness JSON, detected by the leading byte; a witness
-    yields its base graph."""
+def load_artifact(text: str) -> MultiGraph | SpanningWitness | TreeCutDecomposition:
+    """Edge list, witness JSON or decomposition JSON, told apart by the
+    leading byte and then by the JSON object's keys."""
     stripped = text.lstrip()
-    if stripped.startswith("{"):
-        obj = json.loads(stripped)
-        if isinstance(obj, dict) and "graph_vertices" in obj:
-            return parse_witness_json(text).base_graph
+    if not stripped.startswith("{"):
+        return parse_edge_list(text)
+    obj = json.loads(stripped)
+    if isinstance(obj, dict) and "graph_vertices" in obj:
+        return parse_witness_json(text)
+    if isinstance(obj, dict) and "nodes" in obj:
+        return parse_decomposition_json(text)
+    raise ValueError("JSON input is neither a witness nor a decomposition")
+
+
+def load_graph(text: str) -> MultiGraph:
+    """Edge-list or witness JSON; a witness yields its base graph."""
+    art = load_artifact(text)
+    if isinstance(art, TreeCutDecomposition):
         raise ValueError("JSON input is not a witness; cannot extract a graph")
-    return parse_edge_list(text)
+    return art.base_graph if isinstance(art, SpanningWitness) else art
 
 
 def graph_to_dot(g: MultiGraph, name: str = "G") -> str:

@@ -9,6 +9,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
+def _norm(u: int, v: int) -> tuple[int, int]:
+    """An unordered pair as (min, max)."""
+    return (u, v) if u <= v else (v, u)
+
+
 class MultiGraph:
     """Adjacency-map multigraph over integer vertex ids.
 

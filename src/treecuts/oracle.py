@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .decomposition import TreeCutDecomposition
+from .decomposition import TreeCutDecomposition, _center_size as _center_kernel
 from .multigraph import MultiGraph
 
 VARIANT_LEVEL = {"tcw": 3, "stcw": 2, "tcw0": 1}
@@ -203,55 +203,17 @@ def _cut_table(g: MultiGraph) -> list[int]:
 def _center_size(cut: list[int], nbag: int, groups: list[int], level: int) -> int:
     """Vertex count of center(consolidate(g, x, groups), x, level), from
     g's cut table alone, when x and the disjoint non-empty groups cover
-    V(g) and groups is in consolidation order.
-
-    Bag vertices are never removed and nothing done to them changes a
-    group vertex, so the bag acts as one sink whose edges are never
-    tracked. A group vertex starts with degree cut[group]. Deleting a
-    degree-1 vertex lowers its neighbour's degree; suppressing a degree-2
-    vertex keeps its neighbours' degrees, and a parallel pair folds into a
-    loop on the neighbour. Loops need no count of their own: a vertex of
-    degree 2 with a loop has no other edge, so it is deleted as it would
-    be suppressed, with no effect on anything else. Group vertices are
-    visited in ascending order, restarting after every change, as center
-    does.
+    V(g) and groups is in consolidation order. A group's degree is its
+    cut; edges between groups a and b number (cut a + cut b - cut a|b)/2.
     """
     deg = [cut[a] for a in groups]
     if level == 1:
-        return nbag + sum(1 for d in deg if d)
-    k = len(groups)
+        return _center_kernel(nbag, deg, [], level)
     mult = [
         [0 if i == j else (cut[a] + cut[b] - cut[a | b]) // 2 for j, b in enumerate(groups)]
         for i, a in enumerate(groups)
     ]
-    alive = [True] * k
-    changed = True
-    while changed:
-        changed = False
-        for v in range(k):
-            if not alive[v]:
-                continue
-            d = deg[v]
-            if d > 2 or (d == 2 and level == 2):
-                continue
-            alive[v] = False
-            changed = True
-            ends = []  # v's group neighbours, one entry per edge copy
-            for j in range(k):
-                if mult[v][j]:
-                    ends += [j] * mult[v][j]
-                    mult[j][v] = 0
-            if d <= 1:
-                for j in ends:
-                    deg[j] -= 1
-            elif len(ends) == 2 and ends[0] != ends[1]:
-                a, b = ends
-                mult[a][b] += 1
-                mult[b][a] += 1
-            # otherwise every group end keeps its degree: a parallel pair
-            # folds into a loop there, or the new edge runs to the bag
-            break
-    return nbag + sum(alive)
+    return _center_kernel(nbag, deg, mult, level)
 
 
 def exact_treewidth(g: MultiGraph, max_vertices: int = 14) -> int:

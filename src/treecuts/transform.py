@@ -13,13 +13,13 @@ from itertools import count
 
 from .decomposition import (
     TreeCutDecomposition,
-    decomposable_nodes,
+    _TreePass,
     is_nice,
     is_very_nice,
     width_report,
 )
 from .ecw import SpanningWitness, validate_witness
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, _norm
 
 
 class TransformError(RuntimeError):
@@ -30,53 +30,42 @@ def _state_signature(d: TreeCutDecomposition):
     return (d.root, tuple(sorted((t, p) for t, p in d.parent.items() if p is not None)))
 
 
-def _moves_for(
-    cur: TreeCutDecomposition, g: MultiGraph, t: int
-) -> list[tuple[int, int]]:
+def _moves_for(tp: _TreePass, t: int) -> list[tuple[int, int]]:
     """Ordered (node, new_parent) reattachments aimed at one violating
     thin node: push it into an offending sibling subtree, pull an
     offending sibling below it, or scatter it elsewhere."""
-    p = cur.parent[t]
+    p = tp.parent[t]
     assert p is not None
-    nyt = g.neighborhood(cur.subtree_vertices(t))
-    sub_t = set(cur.subtree_nodes(t))
-    offenders = [
-        s for s in cur.children(p) if s != t and nyt & cur.subtree_vertices(s)
-    ]
-    moves: list[tuple[int, int]] = []
-    primary = []
+    nyt = tp.outside[t]
+    sub_t = tp.subtree(t)
+    offenders = [s for s in tp.children[p] if s != t and nyt & tp.ys[s]]
+
+    def deepest_first(q: int) -> tuple[int, int]:
+        return (-tp.depth[q], q)
+
+    primary = [q for s in offenders for q in tp.subtree(s) if nyt & tp.ys[q]]
+    primary.sort(key=deepest_first)
+    moves = [(t, q) for q in primary]
+    sub_t_nodes = sorted(sub_t, key=deepest_first)
     for s in offenders:
-        for q in cur.subtree_nodes(s):
-            if nyt & cur.subtree_vertices(q):
-                primary.append(q)
-    primary.sort(key=lambda q: (-cur.depth(q), q))
-    moves.extend((t, q) for q in primary)
-    sub_t_nodes = sorted(sub_t, key=lambda q: (-cur.depth(q), q))
-    for s in sorted(offenders):
-        nys = g.neighborhood(cur.subtree_vertices(s))
+        nys = tp.outside[s]
         ranked = sorted(
-            sub_t_nodes,
-            key=lambda q: (not (nys & cur.subtree_vertices(q)), -cur.depth(q), q),
+            sub_t_nodes, key=lambda q: (not (nys & tp.ys[q]), -tp.depth[q], q)
         )
         moves.extend((s, q) for q in ranked)
-    tried = {q for node, q in moves if node == t}
-    secondary = [
-        q for q in cur.nodes() if q not in sub_t and q != p and q not in tried
-    ]
-    secondary.sort(key=lambda q: (-cur.depth(q), q))
+    skip = {p, *sub_t, *primary}
+    secondary = sorted((q for q in tp.nodes if q not in skip), key=deepest_first)
     moves.extend((t, q) for q in secondary)
     return moves
 
 
-def _candidate_moves(
-    cur: TreeCutDecomposition, g: MultiGraph, bad: list[int]
-) -> list[tuple[int, int]]:
+def _candidate_moves(tp: _TreePass, bad: list[int]) -> list[tuple[int, int]]:
     # deepest violation first, but every violating node contributes;
     # the fixing move sometimes belongs to a shallower one
     moves: list[tuple[int, int]] = []
     emitted = set()
-    for t in sorted(bad, key=lambda x: (-cur.depth(x), x)):
-        for mv in _moves_for(cur, g, t):
+    for t in sorted(bad, key=lambda x: (-tp.depth[x], x)):
+        for mv in _moves_for(tp, t):
             if mv not in emitted:
                 emitted.add(mv)
                 moves.append(mv)
@@ -90,14 +79,16 @@ def _verified_dfs(
     must already satisfy the width pair, which keeps the search cheap
     but can strand it when a fix needs a temporary excursion."""
     cur = d.copy()
-    bad = is_nice(cur, g)
+    tp = _TreePass(cur, g)
+    bad = tp.not_nice()
     if not bad:
         return cur
     seen = {_state_signature(cur)}
     # iterative, one frame per committed move, so long move sequences
-    # don't hit the recursion limit
+    # don't hit the recursion limit; each frame's moves are listed from
+    # the pass of its own state, before the tree changes again
     stack: list[tuple[tuple[int, int | None] | None, object]] = [
-        (None, iter(_candidate_moves(cur, g, bad)))
+        (None, iter(_candidate_moves(tp, bad)))
     ]
     while stack:
         undo, move_iter = stack[-1]
@@ -113,12 +104,13 @@ def _verified_dfs(
             budget -= 1
             if budget < 0:
                 return None
-            rep = width_report(cur, g)
+            tp = _TreePass(cur, g)
+            rep = tp.report()
             if rep.width <= w0 and rep.slim_width <= s0:
-                bad = is_nice(cur, g)
+                bad = tp.not_nice()
                 if not bad:
                     return cur
-                stack.append(((node, old), iter(_candidate_moves(cur, g, bad))))
+                stack.append(((node, old), iter(_candidate_moves(tp, bad))))
                 advanced = True
                 break
             cur.parent[node] = old
@@ -155,9 +147,10 @@ def _relaxed_best_first(
     the verified DFS cannot."""
 
     def evaluate(dec: TreeCutDecomposition) -> tuple[int, int, int]:
-        rep = width_report(dec, g)
+        tp = _TreePass(dec, g)
+        rep = tp.report()
         return (
-            len(is_nice(dec, g)),
+            len(tp.not_nice()),
             max(rep.slim_width - s0, 0),
             max(rep.width - w0, 0),
         )
@@ -180,11 +173,12 @@ def _relaxed_best_first(
         key, _, cur = heapq.heappop(heap)
         if key == (0, 0, 0):
             return cur
-        nodes = sorted(cur.parent)
+        tp = _TreePass(cur, g)
+        nodes = tp.nodes
         for x in nodes:
             if cur.parent[x] is None:
                 continue
-            sub_x = set(cur.subtree_nodes(x))
+            sub_x = set(tp.subtree(x))
             for q in nodes:
                 if q in sub_x or q == cur.parent[x]:
                     continue
@@ -227,15 +221,6 @@ def make_nice(d: TreeCutDecomposition, g: MultiGraph) -> TreeCutDecomposition:
     return out
 
 
-def _crossing_edges(g: MultiGraph, y: set[int]) -> list[tuple[int, int]]:
-    """Normalized pairs of edges leaving y, one entry per copy, sorted."""
-    out = []
-    for u, v, m in g.edge_pairs():
-        if (u in y) != (v in y):
-            out.extend([(u, v)] * m)
-    return sorted(out)
-
-
 def split_decomposables(
     d: TreeCutDecomposition, g: MultiGraph
 ) -> TreeCutDecomposition:
@@ -253,18 +238,19 @@ def split_decomposables(
     cur = d.copy()
     cap = (len(cur.parent) + g.num_vertices()) ** 2 + 16
     for _ in range(cap):
-        dec = decomposable_nodes(cur, g)
+        tp = _TreePass(cur, g)
+        dec = tp.decomposable()
         if not dec:
             return cur
-        t = min(dec, key=lambda x: (cur.depth(x), x))
-        yt = cur.subtree_vertices(t)
-        e1 = _crossing_edges(g, yt)[0]
+        t = min(dec, key=lambda x: (tp.depth[x], x))
+        yt = tp.ys[t]
+        e1 = tp.crossing(t)[0]
         inside = e1[0] if e1[0] in yt else e1[1]
         comp1 = next(c for c in g.induced(yt).components() if inside in c)
         # duplicate the subtree; originals keep the comp1 side of each bag
         nxt = cur.fresh_node_id()
         clone: dict[int, int] = {}
-        for s in cur.subtree_nodes(t):
+        for s in sorted(tp.subtree(t)):  # clone ids follow node order
             clone[s] = nxt
             nxt += 1
         for s, s2 in clone.items():
@@ -273,7 +259,7 @@ def split_decomposables(
             cur.bags[s2] = cur.bags[s] - comp1
             cur.bags[s] = cur.bags[s] & comp1
         # prune empty leaves of the two affected subtrees to fixpoint
-        affected = set(cur.subtree_nodes(t)) | set(cur.subtree_nodes(clone[t]))
+        affected = set(clone) | set(clone.values())
         while True:
             with_children = set(cur.parent.values())
             prunable = [
@@ -330,42 +316,38 @@ def decomposition_to_witness(
             reps[t] = {nxt}
             nxt += 1
 
-    def norm(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a <= b else (b, a)
-
     for t in nice.nodes():
         xs = sorted(reps[t])
         c = xs[0]
         for u in xs[1:]:
             if host.multiplicity(c, u) == 0:
                 host.add_edge(c, u)
-            forest.add(norm(c, u))
+            forest.add(_norm(c, u))
 
-    for t in nice.nodes():
+    tp = _TreePass(nice, g)
+    # the least edge of g between the bags of each pair of nodes
+    least: dict[tuple[int, int], tuple[int, int]] = {}
+    for u, v, _ in g.edge_pairs():
+        a, b = tp.owner[u], tp.owner[v]
+        if a != b:
+            least.setdefault(_norm(a, b), (u, v))
+    for t in tp.nodes:
         p = nice.parent[t]
         if p is None:
             continue
-        yt = nice.subtree_vertices(t)
-        crossing = _crossing_edges(g, yt)
-        nbhd = g.neighborhood(yt)
-        if len(crossing) == 1 and nbhd <= nice.bags[p]:
+        if tp.adhesion[t] == 1 and tp.outside[t] <= nice.bags[p]:
             # the unique cut edge doubles as the connector; its inner
             # endpoint may sit arbitrarily deep below t
-            forest.add(norm(*crossing[0]))
+            forest.add(tp.crossing(t)[0])
             continue
-        between = sorted(
-            (u, v, m)
-            for u, v, m in g.edge_pairs()
-            if (u in reps[t] and v in reps[p]) or (v in reps[t] and u in reps[p])
-        )
-        if between:
-            u, v, _ = between[0]
-            forest.add(norm(u, v))
+        edge = least.get(_norm(t, p))
+        if edge is not None:
+            forest.add(edge)
         else:
             a, b = min(reps[t]), min(reps[p])
             if host.multiplicity(a, b) == 0:
                 host.add_edge(a, b)
-            forest.add(norm(a, b))
+            forest.add(_norm(a, b))
 
     w = SpanningWitness(g.copy(), host, frozenset(forest))
     problems = validate_witness(w)

@@ -71,6 +71,14 @@ def test_oracle_size_limit_exit(tmp_path, capsys):
     assert code == 3
 
 
+def test_edge_list_size_limit_exit(tmp_path, capsys):
+    gpath = tmp_path / "huge.txt"
+    gpath.write_text("10000000000 0\n")
+    code, out, err = run(capsys, "ecw-exact", str(gpath))
+    assert code == 3 and out == ""
+    assert "exceed the limit" in err
+
+
 def test_verify_rejects_bad_artifacts(tmp_path, capsys):
     gpath = str(tmp_path / "g.txt")
     run(capsys, "gen", "--family", "star", "--r", "2", "-o", gpath)

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecuts.decomposition import (
     InvalidDecompositionError,
+    NodeStats,
     TreeCutDecomposition,
     adhesion,
     center,
@@ -157,6 +160,19 @@ def test_width_report_rejects_invalid():
         width_report(d, g)
 
 
+def test_tree_checks_reject_invalid():
+    # a parent cycle off the root; walking its subtrees would never end
+    g = MultiGraph(range(2), [(0, 1)])
+    d = TreeCutDecomposition(
+        root=0, parent={0: None, 1: 2, 2: 1}, bags={0: {0, 1}, 1: set(), 2: set()}
+    )
+    for check in (is_nice, decomposable_nodes, is_very_nice):
+        with pytest.raises(InvalidDecompositionError):
+            check(d, g)
+    with pytest.raises(InvalidDecompositionError):
+        node_stats(d, g, 0)
+
+
 def test_per_node_center_chain(corpus_small):
     # tor <= tor2 <= tor1 at every node of every singleton decomposition
     for g in corpus_small:
@@ -208,3 +224,101 @@ def test_adhesion_three_is_not_decomposable():
     d = TreeCutDecomposition(root=0, parent={0: None, 1: 0}, bags={0: {0}, 1: {1, 2}})
     assert adhesion(d, g, 1) == 3
     assert decomposable_nodes(d, g) == []
+
+
+def reference_node_stats(d, g, t):
+    """NodeStats from the torso graph and subtree vertex sets, one node at
+    a time: the definitions the tree pass must reproduce."""
+    h = torso(d, g, t)
+    bag = d.bags[t]
+    adh = adhesion(d, g, t)
+    tor, tor2, tor1 = (center(h, bag, level).num_vertices() for level in (3, 2, 1))
+    a_set, b_set, b2_set = set(), set(), set()
+    for b in d.children(t):
+        yb = d.subtree_vertices(b)
+        nb = g.neighborhood(yb)
+        if len(nb) <= 2 and nb <= bag:
+            b_set.add(b)
+            if g.cut_size(yb) == 2:
+                b2_set.add(b)
+        else:
+            a_set.add(b)
+    return NodeStats(
+        adh, tor, tor2, tor1, adh <= 2,
+        frozenset(a_set), frozenset(b_set), frozenset(b2_set),
+    )
+
+
+def reference_is_nice(d, g):
+    bad = []
+    for t in d.nodes():
+        p = d.parent[t]
+        if p is None or adhesion(d, g, t) > 2:
+            continue
+        nbr = g.neighborhood(d.subtree_vertices(t))
+        if any(nbr & d.subtree_vertices(s) for s in d.children(p) if s != t):
+            bad.append(t)
+    return bad
+
+
+def reference_decomposable(d, g):
+    out = []
+    for t in d.nodes():
+        p = d.parent[t]
+        if p is None:
+            continue
+        yt = d.subtree_vertices(t)
+        nb = g.neighborhood(yt)
+        if g.cut_size(yt) != 2 or not (len(nb) <= 2 and nb <= d.bags[p]):
+            continue
+        inner = [u if u in yt else v for u, v in g.edges() if (u in yt) != (v in yt)]
+        comps = g.induced(yt).components()
+        if not any(inner[0] in c and inner[1] in c for c in comps):
+            out.append(t)
+    return out
+
+
+@st.composite
+def decomposed(draw):
+    """A loopy multigraph and a random valid decomposition of it: sparse
+    node ids, any root, chains, empty bags and empty subtrees."""
+    n = draw(st.integers(1, 7))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    g = MultiGraph(range(n), draw(st.lists(pairs, max_size=14)))
+    k = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.integers(0, 40), min_size=k, max_size=k, unique=True))
+    if draw(st.booleans()):
+        links = [i - 1 for i in range(1, k)]  # a chain
+    else:
+        links = [draw(st.integers(0, i - 1)) for i in range(1, k)]
+    adj = {i: [] for i in range(k)}
+    for i, j in enumerate(links, start=1):
+        adj[i].append(j)
+        adj[j].append(i)
+    root = draw(st.integers(0, k - 1))
+    parent = {ids[root]: None}
+    stack = [root]
+    while stack:
+        i = stack.pop()
+        for j in adj[i]:
+            if ids[j] not in parent:
+                parent[ids[j]] = ids[i]
+                stack.append(j)
+    owner = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    bags = {ids[i]: {v for v in range(n) if owner[v] == i} for i in range(k)}
+    return g, TreeCutDecomposition(ids[root], parent, bags)
+
+
+@settings(max_examples=300, deadline=None)
+@given(decomposed(), st.integers(1, 4))
+def test_node_stats_match_reference(case, k_hint):
+    g, d = case
+    assert validate(d, g) == []
+    rep = width_report(d, g)
+    for t in d.nodes():
+        want = reference_node_stats(d, g, t)
+        assert rep.per_node[t] == want, t
+        hinted = node_stats(d, g, t, k_hint=k_hint)
+        assert hinted.b2_lower_bound == want.tor2 - 3 * k_hint - 2
+    assert is_nice(d, g) == reference_is_nice(d, g)
+    assert decomposable_nodes(d, g) == reference_decomposable(d, g)

@@ -157,3 +157,22 @@ def test_dp_matches_bruteforce_seeded():
         assert got == expected, (sorted(g.edges()), pairs)
         checked += 1
     assert checked >= 80
+
+
+def test_single_pair_copies_match_menger():
+    # k copies of one terminal pair route exactly when k is at most the
+    # local edge connectivity of the pair (Menger). That is a max flow
+    # with each multiplicity as capacity: nx.edge_connectivity on an
+    # nx.MultiGraph counts a parallel pair once
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(5151)
+    for _ in range(30):
+        g = random_connected_multi(rng, rng.randint(2, 6), rng.randint(0, 5), loops=True)
+        s, t = rng.sample(g.sorted_vertices(), 2)
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices())
+        h.add_edges_from((u, v, {"capacity": m}) for u, v, m in g.edge_pairs() if u != v)
+        lam = nx.maximum_flow_value(h, s, t)
+        w = witness_for(g)
+        for k in range(1, lam + 2):
+            assert edp_solve_dp(g, w, [(s, t)] * k) is (k <= lam), (sorted(g.edges()), s, t, k)

@@ -13,6 +13,7 @@ from treecuts import cli
 from treecuts.decomposition import TreeCutDecomposition
 from treecuts.ecw import SpanningWitness, validate_witness
 from treecuts.formats import (
+    MAX_EDGE_LIST_VERTICES,
     decomposition_to_dot,
     decomposition_to_json,
     graph_to_dot,
@@ -25,6 +26,7 @@ from treecuts.formats import (
     write_edge_list,
 )
 from treecuts.multigraph import MultiGraph
+from treecuts.oracle import SizeLimitError
 
 from conftest import graph_key, random_connected_multi
 
@@ -66,6 +68,13 @@ def test_parse_edge_list_rejects():
         parse_edge_list("2 1\n0 5\n")
     with pytest.raises(ValueError):
         parse_edge_list("2 1\n0 x\n")
+
+
+def test_parse_edge_list_caps_header_size():
+    # rejected from the header alone; allocating first would not return
+    for n in (MAX_EDGE_LIST_VERTICES + 1, 10**10):
+        with pytest.raises(SizeLimitError):
+            parse_edge_list(f"{n} 0\n")
 
 
 def test_decomposition_json_round_trip():

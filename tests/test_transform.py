@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,7 +13,8 @@ from treecuts.decomposition import (
     width_report,
 )
 from treecuts.ecw import validate_witness, witness_ecw
-from treecuts.families import windmill
+from treecuts.families import ladder, star, wall, windmill
+from treecuts.formats import decomposition_to_json, witness_to_json
 from treecuts.multigraph import MultiGraph
 from treecuts.oracle import exact_width
 from treecuts.transform import (
@@ -183,3 +185,54 @@ def test_oracle_decompositions_become_witnesses():
         w = decomposition_to_witness(g, d)
         assert validate_witness(w) == []
         assert witness_ecw(w) <= 3 * (k + 1) ** 2
+
+
+def star_decomposition(g):
+    """Empty-bag root with one singleton leaf per vertex."""
+    parent = {0: None}
+    bags = {0: set()}
+    for i, v in enumerate(g.sorted_vertices(), start=1):
+        parent[i] = 0
+        bags[i] = {v}
+    return TreeCutDecomposition(0, parent, bags)
+
+
+def golden_sources():
+    """A fixed list of (graph, decomposition) inputs to the transforms."""
+    rng = random.Random(4404)
+    graphs = [ladder(4), ladder(6), wall(3), windmill(3), star(4)]
+    graphs += [random_connected_multi(rng, n, n // 2, loops=True) for n in (4, 6, 8, 9)]
+    graphs += [random_connected_multi(rng, n, 4) for n in (7, 10, 12)]
+    out = []
+    for g in graphs:
+        out += [(g, star_decomposition(g)), (g, chain_decomposition(g))]
+    # re-rooted chain with empty bags on a branch
+    g = MultiGraph(range(5), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
+    d = TreeCutDecomposition(
+        3,
+        {0: 1, 1: 2, 2: 3, 3: None, 4: 3, 5: 4, 6: 0},
+        {0: {0}, 1: {1}, 2: {2}, 3: set(), 4: {3}, 5: {4}, 6: set()},
+    )
+    out.append((g, d))
+    return out
+
+
+# recorded from the code before the one-pass tree evaluation
+TRANSFORM_GOLDEN = "1d4e4ac56fc948bcdb6b5f3c33ba115d69ed4f487d254849ff92bc54a34022cb"
+
+
+def transform_digest() -> str:
+    h = hashlib.sha256()
+    for g, d in golden_sources():
+        vn = make_very_nice(d, g)
+        w = decomposition_to_witness(g, d)
+        back = witness_to_decomposition(w)
+        for text in (decomposition_to_json(vn), witness_to_json(w), decomposition_to_json(back)):
+            h.update(text.encode())
+    return h.hexdigest()
+
+
+def test_transform_outputs_golden():
+    # make_very_nice's move order and both bridges' choices of connectors
+    # decide these bytes; any drift in either changes the digest
+    assert transform_digest() == TRANSFORM_GOLDEN
