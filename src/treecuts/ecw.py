@@ -183,25 +183,42 @@ def _det_int(m: list[list[int]]) -> int:
 
 def spanning_tree_count(g: MultiGraph) -> int:
     """Number of spanning forests maximal in g, counting parallel copies
-    as distinct (matrix-tree theorem per component; loops ignored)."""
+    as distinct (matrix-tree theorem per component; loops ignored).
+
+    Pendant vertices, those with one distinct loopless neighbour, are
+    peeled first: every spanning tree uses one of the m copies to the
+    neighbour, so each peel multiplies the count by m. The determinant
+    runs only on what is left of each component.
+    """
+    adj: dict[int, dict[int, int]] = {v: {} for v in g.vertices()}
+    for u, v, m in g.edge_pairs():
+        if u != v:
+            adj[u][v] = adj[v][u] = m
     total = 1
+    pendant = [v for v in sorted(adj) if len(adj[v]) == 1]
+    while pendant:
+        v = pendant.pop()
+        if len(adj[v]) != 1:  # its neighbour was peeled before it
+            continue
+        (u, m), = adj.pop(v).items()
+        total *= m
+        del adj[u][v]
+        if len(adj[u]) == 1:
+            pendant.append(u)
     for comp in g.components():
-        vs = sorted(comp)
-        if len(vs) == 1:
+        # peeling never disconnects what is left of a component
+        vs = sorted(v for v in comp if adj.get(v))
+        if not vs:
             continue
         idx = {v: i for i, v in enumerate(vs)}
         n = len(vs)
         lap = [[0] * n for _ in range(n)]
-        for u, v, m in g.induced(comp).edge_pairs():
-            if u == v:
-                continue
-            iu, iv = idx[u], idx[v]
-            lap[iu][iu] += m
-            lap[iv][iv] += m
-            lap[iu][iv] -= m
-            lap[iv][iu] -= m
-        minor = [row[1:] for row in lap[1:]]
-        total *= _det_int(minor)
+        for u in vs:
+            iu = idx[u]
+            for v, m in adj[u].items():
+                lap[iu][iu] += m
+                lap[iu][idx[v]] -= m
+        total *= _det_int([row[1:] for row in lap[1:]])
     return total
 
 

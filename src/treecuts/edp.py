@@ -1,25 +1,33 @@
 """Edge Disjoint Paths via dynamic programming along a spanning witness.
 
-The DP assigns every edge copy to one demand or to none, sweeping the
-witness tree bottom-up. A demand is satisfied iff its edge class gives
-odd degree to exactly its two terminals: a class with that degree
-profile always contains a path between the terminals (a component with
-exactly one odd vertex cannot exist), and spare cycles are harmless, so
-no connectivity bookkeeping is needed. The DP state at a tree node is
-the class assignment of the edges crossing its subtree, and every such
-edge either is the node's own tree edge or charges the node as a
-feedback edge, so states stay bounded in terms of the witness's
-edge-cut width. Ghost edges only ever take the "unused" class.
+A demand is satisfied iff some set of edge copies gives odd degree to
+exactly its two terminals: such a set contains a path between them (a
+component with exactly one odd vertex cannot exist), and spare cycles
+are harmless. So k demands route iff every base vertex pair can take a
+k-bit mask (bit i: demand i uses an odd number of its copies) such that
+at every vertex the masks XOR to the demands ending there. Parallel
+copies are interchangeable and two copies in one demand cancel, so a
+pair of multiplicity m takes exactly the masks of popcount at most m.
+Loops, ghost copies and ghost vertices carry nothing and never enter a
+state.
+
+The DP sweeps the witness forest deepest vertex first. A subtree's state
+is a tuple of masks, one per pair with exactly one end inside; a pair
+leaves the state at the lowest common ancestor of its ends. Each copy of
+such a pair is the subtree's tree edge or charges the subtree's root,
+and m copies take at most (k+1)^m masks, so a subtree keeps at most
+(k+1)^ecw states for a witness of edge-cut width ecw. Children are
+joined on the pairs they share, and the last pair leaving a vertex
+upwards takes the mask its parity forces.
 """
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 
-from .ecw import SpanningWitness, validate_witness
+from .ecw import SpanningWitness, _forest_paths, validate_witness
 from .multigraph import MultiGraph, _norm
 from .oracle import SizeLimitError
-
-Token = tuple[int, int, int]  # (u, v, copy) with u <= v
 
 
 def _check_terminals(g: MultiGraph, pairs) -> list[tuple[int, int]]:
@@ -33,6 +41,11 @@ def _check_terminals(g: MultiGraph, pairs) -> list[tuple[int, int]]:
 
 def edp_solve_dp(g: MultiGraph, w: SpanningWitness, pairs) -> bool:
     """Decide whether g routes all terminal pairs edge-disjointly."""
+    return _solve_dp(g, w, pairs)[0]
+
+
+def _solve_dp(g: MultiGraph, w: SpanningWitness, pairs) -> tuple[bool, int]:
+    """edp_solve_dp's answer and the most states kept for one subtree."""
     problems = validate_witness(w)
     if problems:
         raise ValueError(f"invalid witness: {problems}")
@@ -40,123 +53,109 @@ def edp_solve_dp(g: MultiGraph, w: SpanningWitness, pairs) -> bool:
         raise ValueError("witness was built for a different graph")
     demands = [(s, t) for s, t in _check_terminals(g, pairs) if s != t]
     if not demands:
-        return True
+        return True, 0
     k = len(demands)
+    need = dict.fromkeys(w.host.vertices(), 0)  # the demands ending at v
+    for i, (s, t) in enumerate(demands):
+        need[s] ^= 1 << i
+        need[t] ^= 1 << i
+    masks = [[x for x in range(1 << k) if x.bit_count() <= m] for m in range(k + 1)]
 
-    host = w.host
-    tokens: list[Token] = []
-    ghost: dict[Token, bool] = {}
-    for u, v, m in host.edge_pairs():
+    parent, depth = _forest_paths(w.host, w.forest)
+    # per pair, its lowest common ancestor and whether that is an end;
+    # per vertex, the pairs whose other end lies outside its subtree
+    low: list[int] = []
+    at_end: list[bool] = []
+    fresh: dict[int, list[tuple[int, int]]] = {v: [] for v in parent}
+    for u, v, m in g.edge_pairs():
         if u == v:
-            continue  # a loop contributes even degree; it can never help
-        base = w.base_graph.multiplicity(u, v)
-        for c in range(m):
-            tok = (u, v, c)
-            tokens.append(tok)
-            ghost[tok] = c >= base
-    incident: dict[int, list[Token]] = {v: [] for v in host.vertices()}
-    for tok in tokens:
-        incident[tok[0]].append(tok)
-        incident[tok[1]].append(tok)
-
-    # root each forest component at its least vertex; Euler intervals give
-    # constant-time subtree membership
-    adj: dict[int, list[int]] = {v: [] for v in host.vertices()}
-    for u, v in w.forest:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent: dict[int, int | None] = {}
-    children: dict[int, list[int]] = {v: [] for v in host.vertices()}
-    roots = []
-    order = []
-    tin: dict[int, int] = {}
-    tout: dict[int, int] = {}
-    clock = 0
-    for r in host.sorted_vertices():
-        if r in parent:
             continue
-        roots.append(r)
-        parent[r] = None
-        stack: list[tuple[int, int]] = [(r, 0)]
-        while stack:
-            u, stage = stack.pop()
-            if stage == 0:
-                tin[u] = clock
-                clock += 1
-                stack.append((u, 1))
-                for x in sorted(adj[u], reverse=True):
-                    if x not in parent:
-                        parent[x] = u
-                        children[u].append(x)
-                        stack.append((x, 0))
+        a, b = u, v
+        while a != b:
+            if depth[a] >= depth[b]:
+                a = parent[a]
             else:
-                tout[u] = clock
-                clock += 1
-                order.append(u)
+                b = parent[b]
+        p = len(low)
+        low.append(a)
+        at_end.append(a == u or a == v)
+        for x in (u, v):
+            if x != a:
+                fresh[x].append((p, min(m, k)))
 
-    def inside(x: int, v: int) -> bool:
-        return tin[v] <= tin[x] and tout[x] <= tout[v]
+    done: dict[int, list] = {v: [] for v in parent}  # slots and states per child
+    peak = 0
+    for v in sorted(parent, key=depth.__getitem__, reverse=True):
+        # entry 0 of a joined state is the XOR of v's pairs joined so far
+        slots, states = [], {(0,)}
+        for child in done.pop(v):
+            slots, states = _join(slots, states, *child, v, low, at_end)
+        parity = {(s[1:], s[0] ^ need[v]) for s in states}
+        if fresh[v]:
+            *rest, (_, last) = fresh[v]
+            combos = [(0, ())]
+            for _, m in rest:
+                combos = [(x ^ y, t + (y,)) for x, t in combos for y in masks[m]]
+            tails: dict[int, list[tuple[int, ...]]] = {}
+            out = set()
+            for s, x in parity:
+                if x not in tails:
+                    tails[x] = [
+                        t + (x ^ y,) for y, t in combos if (x ^ y).bit_count() <= last
+                    ]
+                out.update(s + t for t in tails[x])
+            slots = slots + [p for p, _ in fresh[v]]
+        else:
+            out = {s for s, x in parity if x == 0}
+        if not out:
+            return False, peak
+        peak = max(peak, len(out))
+        if parent[v] is not None:
+            done[parent[v]].append((slots, out))
+    return True, peak
 
-    def required_parity(v: int, i: int) -> int:
-        s, t = demands[i]
-        return 1 if (v == s) != (v == t) else 0
 
-    profiles: dict[int, list[dict[Token, int]]] = {}
-    for v in order:
-        merged: list[dict[Token, int]] = [{}]
-        for c in children[v]:
-            child_profiles = profiles.pop(c, [])
-            nxt = []
-            for p in merged:
-                for q in child_profiles:
-                    ok = True
-                    for tok, cls in q.items():
-                        if tok in p and p[tok] != cls:
-                            ok = False
-                            break
-                    if ok:
-                        r = dict(p)
-                        r.update(q)
-                        nxt.append(r)
-            merged = nxt
-            if not merged:
-                break
-        fresh = [
-            tok
-            for tok in incident[v]
-            if not inside(tok[0] if tok[1] == v else tok[1], v)
-        ]
-        out: dict = {}
-        for p in merged:
-            stack2 = [(p, 0)]
-            while stack2:
-                cur, i = stack2.pop()
-                if i == len(fresh):
-                    counts = [0] * k
-                    for tok in incident[v]:
-                        cls = cur.get(tok, 0)
-                        if cls:
-                            counts[cls - 1] += 1
-                    if all(
-                        counts[i2] % 2 == required_parity(v, i2) for i2 in range(k)
-                    ):
-                        proj = {
-                            tok: cls
-                            for tok, cls in cur.items()
-                            if inside(tok[0], v) != inside(tok[1], v)
-                        }
-                        out[frozenset(proj.items())] = proj
-                    continue
-                tok = fresh[i]
-                classes = (0,) if ghost[tok] else range(k + 1)
-                for cls in classes:
-                    nxt2 = dict(cur)
-                    nxt2[tok] = cls
-                    stack2.append((nxt2, i + 1))
-        profiles[v] = list(out.values())
-        if not profiles[v]:
-            return False
-    return all(profiles[r] for r in roots)
+def _entries(idx: list[int]):
+    """A function taking a tuple to the tuple of its entries at idx."""
+    if not idx:
+        return lambda s: ()
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda s: (s[i],)
+    return itemgetter(*idx)
+
+
+def _join(slots, states, cslots, cstates, v, low, at_end):
+    """Join v's states so far with those of its child's subtree.
+
+    Pairs in both slot lists run between the two sides and must agree;
+    they are dropped after the join, since both ends are then inside. A
+    child pair ending at v is folded into entry 0.
+    """
+    have = {p: i for i, p in enumerate(slots, 1)}
+    key, ckey, own, ckeep = [], [], [], []
+    for j, p in enumerate(cslots):
+        if p in have:
+            key.append(have.pop(p))
+            ckey.append(j)
+        elif low[p] == v and at_end[p]:
+            own.append(j)
+        else:
+            ckeep.append(j)
+    keep = list(have.values())  # ascending, as slots were entered
+    index: dict[tuple[int, ...], set[tuple[int, tuple[int, ...]]]] = {}
+    ckey_of, ckeep_of = _entries(ckey), _entries(ckeep)
+    for s in cstates:
+        x = 0
+        for j in own:
+            x ^= s[j]
+        index.setdefault(ckey_of(s), set()).add((x, ckeep_of(s)))
+    key_of, keep_of = _entries(key), _entries(keep)
+    out = set()
+    for s in states:
+        for x, t in index.get(key_of(s), ()):
+            out.add((s[0] ^ x,) + keep_of(s) + t)
+    return [slots[i - 1] for i in keep] + [cslots[j] for j in ckeep], out
 
 
 def edp_bruteforce(

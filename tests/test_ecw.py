@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -270,10 +271,33 @@ def test_spanning_tree_count_matches_networkx(seed):
     rng = random.Random(seed)
     # every seed here draws parallel pairs, and four of them draw loops
     g = random_connected_multi(rng, rng.randint(2, 8), rng.randint(2, 10), loops=True)
-    h = nx.MultiGraph()
-    h.add_nodes_from(g.vertices())
-    h.add_edges_from(g.edges())
-    assert spanning_tree_count(g) == round(nx.number_of_spanning_trees(h))
+    # a tree, a path with parallel rungs, and a core with pendant trees
+    # hung off it: counts that peeling pendant vertices settles in part
+    # or whole
+    tree = random_connected_multi(rng, rng.randint(2, 12), 0)
+    n = rng.randint(2, 12)
+    path = MultiGraph(range(n))
+    for i in range(n - 1):
+        path.add_edge(i, i + 1, rng.randint(1, 3))
+    hung = random_connected_multi(rng, 4, rng.randint(2, 5), loops=True)
+    for v in range(4, 4 + rng.randint(3, 8)):
+        hung.add_edge(v, rng.randrange(v), rng.randint(1, 3))
+        if rng.random() < 0.3:
+            hung.add_edge(v, v)
+    for graph in (g, tree, path, hung):
+        h = nx.MultiGraph()
+        h.add_nodes_from(graph.vertices())
+        h.add_edges_from(graph.edges())
+        assert spanning_tree_count(graph) == round(nx.number_of_spanning_trees(h))
+
+
+def test_spanning_tree_count_long_path_is_fast():
+    # pendant peeling settles a path without any determinant
+    g = MultiGraph(range(1200), [(i, i + 1) for i in range(1199)])
+    g.add_edge(600, 601)
+    start = time.perf_counter()
+    assert spanning_tree_count(g) == 2
+    assert time.perf_counter() - start < 0.25
 
 
 def test_ladder12_within_raised_budget():

@@ -1,11 +1,15 @@
+import hashlib
 import random
 
 import pytest
 
-from treecuts.ecw import SpanningWitness, sec_upper
-from treecuts.edp import edp_bruteforce, edp_solve_dp
+from treecuts.decomposition import TreeCutDecomposition
+from treecuts.ecw import SpanningWitness, sec_upper, witness_ecw
+from treecuts.edp import _solve_dp, edp_bruteforce, edp_solve_dp
+from treecuts.families import ladder
 from treecuts.multigraph import MultiGraph
 from treecuts.oracle import SizeLimitError
+from treecuts.transform import decomposition_to_witness
 
 from conftest import random_connected_multi
 
@@ -176,3 +180,111 @@ def test_single_pair_copies_match_menger():
         w = witness_for(g)
         for k in range(1, lam + 2):
             assert edp_solve_dp(g, w, [(s, t)] * k) is (k <= lam), (sorted(g.edges()), s, t, k)
+
+
+def ladder_instance(rungs, doubled):
+    """ladder(rungs), every edge doubled on request, with its rail-and-rungs
+    witness."""
+    g0 = ladder(rungs)
+    g = MultiGraph(g0.vertices())
+    for u, v, m in g0.edge_pairs():
+        g.add_edge(u, v, 2 * m if doubled else m)
+    return g, SpanningWitness(g.copy(), g.copy(), frozenset(g0.meta["spanning_tree"]))
+
+
+def ladder_pool():
+    """Plain and doubled ladders with 3..8 rungs, 1..4 seeded demands."""
+    rng = random.Random(2468)
+    for doubled in (False, True):
+        for r in range(3, 9):
+            g, w = ladder_instance(r, doubled)
+            for k in range(1, 5):
+                for i in range(3):
+                    pairs = [tuple(rng.sample(range(2 * r), 2)) for _ in range(k)]
+                    label = f"{'double' if doubled else 'plain'}-r{r}-k{k}#{i}"
+                    yield label, g, w, pairs
+
+
+# recorded from the per-copy DP that preceded the per-pair mask state;
+# 125 of the 144 answers are yes
+EDP_ANSWERS_GOLDEN = "f2934937cd1e225ab6cc72004a7cad3c4e603e86450f2316e3c964538225a5bf"
+
+
+def test_edp_answers_golden():
+    h = hashlib.sha256()
+    for label, g, w, pairs in ladder_pool():
+        h.update(f"{label} {pairs} {edp_solve_dp(g, w, pairs)}\n".encode())
+    assert h.hexdigest() == EDP_ANSWERS_GOLDEN
+
+
+def random_witness(rng, g):
+    """A decomposition_to_witness witness of a random tree-cut
+    decomposition with empty bags, so ghost vertices, with ghost copies
+    added to some base pairs of the host."""
+    vs = g.sorted_vertices()
+    nodes = rng.randint(2, len(vs) + 3)
+    parent = {0: None}
+    for t in range(1, nodes):
+        parent[t] = rng.randrange(t)
+    bags = {t: set() for t in range(nodes)}
+    for v in vs:
+        bags[rng.randrange(nodes)].add(v)
+    w = decomposition_to_witness(g, TreeCutDecomposition(0, parent, bags))
+    host = w.host.copy()
+    for u, v, _ in g.edge_pairs():
+        if u != v and rng.random() < 0.3:
+            host.add_edge(u, v, rng.randint(1, 2))
+    return SpanningWitness(w.base_graph, host, w.forest)
+
+
+def random_parallel_multi(rng, n):
+    """A connected loopy multigraph with multiplicities 2 and 3 on most
+    pairs."""
+    g = random_connected_multi(rng, n, rng.randint(0, 2), loops=True)
+    for u, v, m in list(g.edge_pairs()):
+        if u != v and m < 3 and rng.random() < 0.7:
+            g.add_edge(u, v, rng.randint(1, 3 - m))
+    return g
+
+
+def test_dp_matches_bruteforce_on_parallel_pairs():
+    # k demands up to 4 over pairs of multiplicity 2 and 3, so a pair can
+    # be asked for more demands than it has copies: the popcount limit
+    # on its mask binds
+    rng = random.Random(31337)
+    seen = {"sec": 0, "ghost vertices": 0, "ghost copies": 0, "yes": 0, "no": 0}
+    for it in range(160):
+        g = random_parallel_multi(rng, rng.randint(3, 5))
+        if g.num_edges() > 14:
+            continue
+        if it % 2:
+            w = witness_for(g)
+            seen["sec"] += 1
+        else:
+            w = random_witness(rng, g)
+            seen["ghost vertices"] += bool(w.ghost_vertices())
+            seen["ghost copies"] += any(
+                w.ghost_edge_count(u, v) for u, v, _ in g.edge_pairs()
+            )
+        vs = g.sorted_vertices()
+        k = rng.randint(2, 4)
+        pairs = [tuple(rng.sample(vs, 2)) for _ in range(k)]
+        expected = edp_bruteforce(g, pairs)[0]
+        assert edp_solve_dp(g, w, pairs) == expected, (sorted(w.host.edges()), pairs)
+        seen["yes" if expected else "no"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_dp_states_bounded_by_witness_ecw():
+    # the FPT shape: a subtree keeps at most (k+1)^ecw states
+    for _, g, w, pairs in ladder_pool():
+        yes, peak = _solve_dp(g, w, pairs)
+        assert yes <= peak <= (len(pairs) + 1) ** witness_ecw(w)
+    rng = random.Random(8080)
+    for it in range(80):
+        g = random_parallel_multi(rng, rng.randint(3, 7))
+        w = witness_for(g) if it % 2 else random_witness(rng, g)
+        vs = g.sorted_vertices()
+        pairs = [tuple(rng.sample(vs, 2)) for _ in range(rng.randint(1, 4))]
+        _, peak = _solve_dp(g, w, pairs)
+        assert peak <= (len(pairs) + 1) ** witness_ecw(w), (sorted(w.host.edges()), pairs)
