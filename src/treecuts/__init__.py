@@ -18,15 +18,11 @@ from .decomposition import (
     NodeStats,
     TreeCutDecomposition,
     WidthReport,
-    adhesion,
-    center,
-    consolidate,
     decomposable_nodes,
     is_nice,
     is_very_nice,
     node_stats,
     singleton_decomposition,
-    torso,
     validate,
     width_report,
 )
@@ -35,8 +31,6 @@ from .ecw import (
     SpanningWitness,
     ecw_value,
     exact_ecw,
-    feedback_edge_number,
-    local_feedback_set,
     sec_upper,
     spanning_tree_count,
     validate_witness,
@@ -91,11 +85,8 @@ __all__ = [
     "TransformError",
     "TreeCutDecomposition",
     "WidthReport",
-    "adhesion",
     "apply_immersion",
     "approximate_stcw",
-    "center",
-    "consolidate",
     "decomposable_nodes",
     "decomposition_to_json",
     "decomposition_to_witness",
@@ -106,13 +97,11 @@ __all__ = [
     "exact_ecw",
     "exact_treewidth",
     "exact_width",
-    "feedback_edge_number",
     "graph_to_dot",
     "is_nice",
     "is_very_nice",
     "ladder",
     "load_graph",
-    "local_feedback_set",
     "make_family",
     "make_nice",
     "make_very_nice",
@@ -127,7 +116,6 @@ __all__ = [
     "spanning_tree_count",
     "split_decomposables",
     "star",
-    "torso",
     "validate",
     "validate_witness",
     "wall",

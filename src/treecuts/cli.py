@@ -20,13 +20,11 @@ from .ecw import (
     validate_witness,
     witness_ecw,
 )
-from .edp import edp_bruteforce, edp_solve_dp
+from .edp import BRUTE_FORCE_EDGE_LIMIT, edp_bruteforce, edp_solve_dp
 from .families import make_family
 from .multigraph import MultiGraph
 from .oracle import SizeLimitError, exact_width
 from .transform import decomposition_to_witness, witness_to_decomposition
-
-BRUTE_FORCE_EDGE_LIMIT = 14
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,6 +8,7 @@ absent from the base graph are ghosts.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .multigraph import MultiGraph, _norm
@@ -44,27 +45,31 @@ def validate_witness(w: SpanningWitness) -> list[str]:
     for u, v in sorted(w.forest):
         if u == v:
             out.append(f"forest contains loop ({u},{v})")
+        elif u > v:
+            out.append(f"forest edge ({u},{v}) is not written as (min, max)")
         elif w.host.multiplicity(u, v) == 0:
             out.append(f"forest edge ({u},{v}) is not a host edge")
     if out:
         return out
-    # acyclic and maximal: one forest component per host component
-    f = MultiGraph(w.host.vertices())
-    for u, v in w.forest:
-        f.add_edge(u, v)
-    if f.num_edges() != len(w.forest):
-        out.append("forest edge set is inconsistent")
-    n = w.host.num_vertices()
-    host_comps = len(w.host.components())
-    if len(w.forest) != n - host_comps or len(f.components()) != host_comps:
+    # a forest with c trees has n - c edges; it is maximal iff c is the
+    # host's component count
+    parent, _ = _forest_paths(w.host, w.forest)
+    trees = sum(p is None for p in parent.values())
+    if len(w.forest) != len(parent) - trees or trees != len(w.host.components()):
         out.append("forest is not a maximal spanning forest of the host")
     return out
 
 
 def _forest_paths(
-    host: MultiGraph, forest: frozenset[EdgePair] | set[EdgePair]
+    host: MultiGraph, forest: Iterable[EdgePair]
 ) -> tuple[dict[int, int | None], dict[int, int]]:
-    """Parent and depth maps, rooting each forest component at its least vertex."""
+    """Parent and depth maps of the forest rooted per component.
+
+    A DFS runs from each unreached host vertex in ascending order, marks
+    a vertex when it is pushed and takes neighbours in the order the
+    edges list them. Roots, the least vertex of each component, are the
+    vertices whose parent is None; they enter the maps in ascending order.
+    """
     adj: dict[int, list[int]] = {v: [] for v in host.vertices()}
     for u, v in forest:
         adj[u].append(v)
@@ -87,21 +92,24 @@ def _forest_paths(
     return parent, depth
 
 
+def _lca(parent, depth, u: int, v: int) -> int:
+    """Lowest common ancestor of u and v, two vertices of one forest tree."""
+    while u != v:
+        if depth[u] >= depth[v]:
+            u = parent[u]
+        else:
+            v = parent[v]
+    return u
+
+
 def _path_vertices(parent, depth, u: int, v: int) -> set[int]:
     """Vertices on the forest path between u and v, endpoints included."""
-    path = {u, v}
-    a, b = u, v
-    while depth[a] > depth[b]:
-        a = parent[a]
-        path.add(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        path.add(b)
-    while a != b:
-        a = parent[a]
-        b = parent[b]
-        path.add(a)
-        path.add(b)
+    top = _lca(parent, depth, u, v)
+    path = {top}
+    for x in (u, v):
+        while x != top:
+            path.add(x)
+            x = parent[x]
     return path
 
 
@@ -433,24 +441,6 @@ def _least_forest(
     return best, best_forest
 
 
-def _dfs_forest(g: MultiGraph) -> frozenset[EdgePair]:
-    seen: set[int] = set()
-    forest: set[EdgePair] = set()
-    for r in g.sorted_vertices():
-        if r in seen:
-            continue
-        stack = [r]
-        seen.add(r)
-        while stack:
-            u = stack.pop()
-            for x in sorted(g.neighbors(u)):
-                if x not in seen:
-                    seen.add(x)
-                    forest.add(_norm(u, x))
-                    stack.append(x)
-    return frozenset(forest)
-
-
 def sec_upper(
     g: MultiGraph,
     d_opt=None,
@@ -482,6 +472,7 @@ def sec_upper(
         w = decomposition_to_witness(g, d)
         candidates.append((witness_ecw(w), w))
     if not candidates:
-        forest = _dfs_forest(g)
+        parent, _ = _forest_paths(g, [(u, v) for u, v, _ in g.edge_pairs()])
+        forest = frozenset(_norm(v, p) for v, p in parent.items() if p is not None)
         candidates.append((ecw_value(g, forest), SpanningWitness(g.copy(), g.copy(), forest)))
     return min(candidates, key=lambda c: c[0])

@@ -25,9 +25,11 @@ from __future__ import annotations
 from collections import Counter
 from operator import itemgetter
 
-from .ecw import SpanningWitness, _forest_paths, validate_witness
+from .ecw import SpanningWitness, _forest_paths, _lca, validate_witness
 from .multigraph import MultiGraph, _norm
 from .oracle import SizeLimitError
+
+BRUTE_FORCE_EDGE_LIMIT = 14  # edp_bruteforce's default cap on edge copies
 
 
 def _check_terminals(g: MultiGraph, pairs) -> list[tuple[int, int]]:
@@ -70,12 +72,7 @@ def _solve_dp(g: MultiGraph, w: SpanningWitness, pairs) -> tuple[bool, int]:
     for u, v, m in g.edge_pairs():
         if u == v:
             continue
-        a, b = u, v
-        while a != b:
-            if depth[a] >= depth[b]:
-                a = parent[a]
-            else:
-                b = parent[b]
+        a = _lca(parent, depth, u, v)
         p = len(low)
         low.append(a)
         at_end.append(a == u or a == v)
@@ -159,7 +156,7 @@ def _join(slots, states, cslots, cstates, v, low, at_end):
 
 
 def edp_bruteforce(
-    g: MultiGraph, pairs, limit: int = 14
+    g: MultiGraph, pairs, limit: int = BRUTE_FORCE_EDGE_LIMIT
 ) -> tuple[bool, list[list[int]] | None]:
     """Exhaustive search; on yes, also returns one explicit path system
     as vertex sequences, in the order the pairs were given."""

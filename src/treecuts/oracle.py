@@ -227,33 +227,31 @@ def exact_treewidth(g: MultiGraph, max_vertices: int = 14) -> int:
         raise SizeLimitError(f"{n} vertices exceed the search limit {max_vertices}")
     if n <= 1:
         return 0
-    vs = g.sorted_vertices()
-    adj = {v: set(g.neighbors(v)) for v in vs}
+    idx = {v: i for i, v in enumerate(g.sorted_vertices())}
+    nbr = [0] * n  # neighbour masks, loops dropped
+    for u, v, _ in g.edge_pairs():
+        if u != v:
+            nbr[idx[u]] |= 1 << idx[v]
+            nbr[idx[v]] |= 1 << idx[u]
 
-    def backdeg(v: int, through: frozenset) -> int:
-        seen = {v}
-        stack = [v]
-        out = set()
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in seen:
-                    continue
-                seen.add(w)
-                if w in through:
-                    stack.append(w)
-                else:
-                    out.add(w)
-        return len(out)
+    def backdeg(x: int, through: int) -> int:
+        """Vertices outside through reached from x along paths inside it."""
+        seen = front = 1 << x
+        while front:
+            low = front & -front
+            front ^= low
+            new = nbr[low.bit_length() - 1] & ~seen
+            seen |= new
+            front |= new & through
+        return (seen & ~through).bit_count() - 1  # x itself is not counted
 
-    memo: dict[frozenset, int] = {frozenset(): 0}
-    subsets_by_size: list[list[frozenset]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        s = frozenset(vs[i] for i in range(n) if mask >> i & 1)
-        subsets_by_size[len(s)].append(s)
-    for size in range(1, n + 1):
-        for s in subsets_by_size[size]:
-            memo[s] = min(
-                max(memo[s - {v}], backdeg(v, s - {v})) for v in s
-            )
-    return memo[frozenset(vs)]
+    # best[s] over vertex masks; a subset is numerically below its
+    # supersets, so ascending order fills it first
+    best = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        best[s] = min(
+            max(best[s ^ (1 << i)], backdeg(i, s ^ (1 << i)))
+            for i in range(n)
+            if s >> i & 1
+        )
+    return best[-1]

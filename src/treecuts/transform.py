@@ -18,7 +18,7 @@ from .decomposition import (
     is_very_nice,
     width_report,
 )
-from .ecw import SpanningWitness, validate_witness
+from .ecw import SpanningWitness, _forest_paths, validate_witness
 from .multigraph import MultiGraph, _norm
 
 
@@ -369,24 +369,8 @@ def witness_to_decomposition(w: SpanningWitness) -> TreeCutDecomposition:
     if problems:
         raise ValueError(f"invalid witness: {problems}")
     base_vs = w.base_graph.vertices()
-    adj: dict[int, list[int]] = {v: [] for v in w.host.vertices()}
-    for u, v in w.forest:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent: dict[int, int | None] = {}
-    roots = []
-    for r in w.host.sorted_vertices():
-        if r in parent:
-            continue
-        roots.append(r)
-        parent[r] = None
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            for x in adj[u]:
-                if x not in parent:
-                    parent[x] = u
-                    stack.append(x)
+    parent, _ = _forest_paths(w.host, w.forest)
+    roots = [v for v, p in parent.items() if p is None]
     bags = {v: ({v} & base_vs) for v in w.host.vertices()}
     if w.host.num_vertices() == 0:
         return TreeCutDecomposition(0, {0: None}, {0: set()})

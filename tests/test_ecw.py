@@ -20,7 +20,7 @@ from treecuts.ecw import (
     validate_witness,
     witness_ecw,
 )
-from treecuts.families import ladder
+from treecuts.families import ladder, wall
 from treecuts.multigraph import MultiGraph
 
 from conftest import random_connected_multi
@@ -143,6 +143,10 @@ def test_validate_witness_flags_problems():
         forest=frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}),
     )
     assert validate_witness(w4)
+    # a reversed pair would be charged as a non-forest copy
+    e = MultiGraph(range(2), [(0, 1)])
+    w5 = SpanningWitness(base_graph=e, host=e.copy(), forest=frozenset({(1, 0)}))
+    assert validate_witness(w5) == ["forest edge (1,0) is not written as (min, max)"]
 
 
 def test_witness_with_ghosts_validates():
@@ -186,12 +190,40 @@ def test_sec_upper_decomposition_route():
 
 
 def test_sec_upper_dfs_fallback():
-    from treecuts.families import wall
-
     g = wall(6)  # too many spanning trees, too large for the oracle
     up, w = sec_upper(g, budget=100)
     assert validate_witness(w) == []
     assert up <= feedback_edge_number(g) + 1
+
+
+def fallback_graphs() -> list[MultiGraph]:
+    """Graphs with too many spanning trees for budget 100 and too many
+    vertices for the oracle: two walls, and two seeded loopy components
+    on sparse labels plus the isolated vertex 40."""
+    g = MultiGraph([40])
+    rng = random.Random(3306)
+    for off in (0, 1):
+        part = random_connected_multi(rng, 6, 9, loops=True)
+        for v in part.vertices():
+            g.add_vertex(3 * v + off)
+        for u, v in part.edges():
+            g.add_edge(3 * u + off, 3 * v + off)
+    return [wall(6), wall(7), g]
+
+
+# Recorded from the DFS fallback that visited sorted(g.neighbors(u)) per
+# vertex, before the fallback was read off _forest_paths; pins the forest.
+FALLBACK_DIGEST = "9a862d737b171f71220bd990e42dd9ae3503a2e5861bda12fe07be739062d4c0"
+
+
+def test_sec_upper_fallback_forest_golden():
+    h = hashlib.sha256()
+    for g in fallback_graphs():
+        assert g.num_vertices() > 6 and spanning_tree_count(g) > 100
+        up, w = sec_upper(g, budget=100)
+        assert validate_witness(w) == []
+        h.update(f"{up} {sorted(w.forest)}\n".encode())
+    assert h.hexdigest() == FALLBACK_DIGEST
 
 
 def test_random_agreement_forest_vs_recount():

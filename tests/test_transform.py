@@ -12,7 +12,7 @@ from treecuts.decomposition import (
     validate,
     width_report,
 )
-from treecuts.ecw import validate_witness, witness_ecw
+from treecuts.ecw import SpanningWitness, validate_witness, witness_ecw
 from treecuts.families import ladder, star, wall, windmill
 from treecuts.formats import decomposition_to_json, witness_to_json
 from treecuts.multigraph import MultiGraph
@@ -170,11 +170,27 @@ def test_witness_ghosts_for_empty_bags():
 
 def test_witness_to_decomposition_validates_input():
     g = c4()
-    from treecuts.ecw import SpanningWitness
-
     w = SpanningWitness(g, g.copy(), frozenset({(0, 1)}))
     with pytest.raises((TransformError, ValueError)):
         witness_to_decomposition(w)
+
+
+def test_witness_to_decomposition_disconnected():
+    # a triangle on 2, 5, 7 and a doubled edge 10-12 hung off ghost 9
+    g = MultiGraph([2, 5, 7, 10, 12], [(2, 5), (5, 7), (2, 7), (10, 12), (10, 12)])
+    h = g.copy()
+    h.add_vertex(9)
+    h.add_edge(9, 10)
+    w = SpanningWitness(g, h, frozenset({(2, 5), (5, 7), (9, 10), (10, 12)}))
+    assert validate_witness(w) == []
+    d = witness_to_decomposition(w)
+    assert d.root == 13 and d.bags[13] == set()
+    # each forest component hangs from its least vertex, ghost 9 included
+    assert {v for v, p in d.parent.items() if p == 13} == {2, 9}
+    assert (d.parent[5], d.parent[7], d.parent[10], d.parent[12]) == (2, 5, 9, 10)
+    assert d.bags[9] == set() and d.bags[12] == {12}
+    assert validate(d, g) == []
+    assert width_report(d, g).width <= witness_ecw(w)
 
 
 def test_oracle_decompositions_become_witnesses():
