@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Reach table of exact_ecw's two phases.
+
+For each graph, print the edge-cut width found by the charge DP, the
+time of the DP, the time of the branch-and-bound that then looks for the
+lex-least forest reaching that value, and the time of the same search
+with no floor, which has to prove optimality by itself. Wherever the
+search without a floor finishes, its (value, forest) must equal the
+floored one; the script exits 1 otherwise. Each phase is cut after
+--limit seconds (SIGALRM, so POSIX only) and then shows as '-'.
+
+The graphs are ladders, walls and seeded random multigraphs: a random
+spanning tree plus n/2 random extra pairs, parallels allowed.
+"""
+import argparse
+import random
+import signal
+import sys
+import time
+
+from treecuts.chargedp import ecw_floor
+from treecuts.ecw import _indexed, _least_forest, spanning_tree_count
+from treecuts.families import ladder, wall
+from treecuts.multigraph import MultiGraph
+
+LADDERS = (8, 10, 12, 16, 20, 30, 40, 60, 80)
+WALLS = (3, 4, 5, 6)
+RANDOM_SIZES = (14, 16, 18, 20, 22, 24, 26, 28, 30)
+
+
+class PhaseTimeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise PhaseTimeout
+
+
+def timed(limit: float, fn, *args):
+    """(result, seconds), or (None, None) once limit seconds pass."""
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    t0 = time.perf_counter()
+    try:
+        out = fn(*args)
+    except PhaseTimeout:
+        return None, None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    return out, time.perf_counter() - t0
+
+
+def random_multigraph(seed: int, n: int) -> MultiGraph:
+    rng = random.Random(seed)
+    g = MultiGraph(range(n))
+    vs = list(range(n))
+    rng.shuffle(vs)
+    for i in range(1, n):
+        g.add_edge(vs[i], rng.choice(vs[:i]))
+    for _ in range(n // 2):
+        u, v = rng.sample(vs, 2)
+        g.add_edge(u, v)
+    return g
+
+
+def graphs(seed: int):
+    for r in LADDERS:
+        yield f"ladder({r})", ladder(r)
+    for r in WALLS:
+        yield f"wall({r})", wall(r)
+    for n in RANDOM_SIZES:
+        yield f"random(n={n}, seed={seed + n})", random_multigraph(seed + n, n)
+
+
+def secs(t) -> str:
+    return "-" if t is None else f"{t:.3f}"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--limit", type=float, default=30.0,
+                    help="seconds allowed to each phase of each graph")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="offset of the random graphs' seeds")
+    args = ap.parse_args()
+    signal.signal(signal.SIGALRM, _alarm)
+
+    print("| graph | n | copies | spanning trees | ecw | DP s | find s "
+          "| search without floor s | same forest |")
+    print("|---|---|---|---|---|---|---|---|---|")
+    failed = False
+    for name, g in graphs(args.seed):
+        _, loops, pairs = _indexed(g)
+        floor, dp_s = timed(args.limit, ecw_floor, loops, pairs)
+        found, find_s = (None, None)
+        if floor is not None:
+            found, find_s = timed(args.limit, _least_forest, loops, pairs, floor)
+        plain, plain_s = timed(args.limit, _least_forest, loops, pairs)
+        if found is None or plain is None:
+            same = "-"
+        else:
+            same = "yes" if found == plain else "NO"
+            failed |= found != plain
+        value = found[0] if found else (floor if floor is not None else "-")
+        print(f"| {name} | {g.num_vertices()} | {g.num_edges()} "
+              f"| {spanning_tree_count(g)} | {value} | {secs(dp_s)} "
+              f"| {secs(find_s)} | {secs(plain_s)} | {same} |", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

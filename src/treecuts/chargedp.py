@@ -1,0 +1,289 @@
+"""The charge DP: the exact edge-cut width of a multigraph.
+
+Root a spanning tree anywhere, let S_x be the subtree of x, c run over
+x's children, e(S) count the edge copies with both ends in S (loops
+included) and cut(S) the copies leaving S. A non-forest copy charges x
+when its forest path runs through x, so x is charged
+
+    cut(S_x) - [x not root] + e(S_x) - sum_c e(S_c) - #children(x):
+
+the copies leaving S_x bar the tree edge to x's parent, and the copies
+inside S_x that no child subtree holds whole, bar the tree edges to the
+children. A charge therefore depends only on the vertex sets of a subtree
+and of its child subtrees, which `_ChargeDP` exploits to decide "every
+charge at most K" over connected vertex sets of small cut. `ecw.exact_ecw`
+takes the value from here and searches for the lex-least forest reaching
+it.
+"""
+from __future__ import annotations
+
+
+def ecw_floor(loops: list[int], pairs: list[tuple[int, int, int]]) -> int:
+    """Edge-cut width of the multigraph on vertices 0..n-1; 0 when n is 0.
+
+    loops[x] counts the loops at x and pairs are the distinct non-loop
+    pairs (a, b, multiplicity), as `ecw._indexed` gives them. Pendant vertices, those with one distinct loopless neighbour, are
+    peeled first, as in spanning_tree_count: a pendant vertex v with m
+    copies to u is a leaf of every spanning tree, charged m - 1 plus its
+    loops, and its m - 1 spare copies charge u alone, like loops at u. The
+    DP then runs on what is left of each component, from the largest
+    charge the peeling forced.
+    """
+    n = len(loops)
+    if n == 0:
+        return 0
+    loops = loops[:]
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for a, b, m in pairs:
+        adj[a][b] = adj[b][a] = m
+    low = 0
+    pendant = [v for v in range(n) if len(adj[v]) == 1]
+    while pendant:
+        v = pendant.pop()
+        if len(adj[v]) != 1:  # its neighbour was peeled before it
+            continue
+        (u, m), = adj[v].items()
+        adj[v].clear()
+        del adj[u][v]
+        low = max(low, loops[v] + m - 1)
+        loops[u] += m - 1
+        if len(adj[u]) == 1:
+            pendant.append(u)
+    seen = [False] * n
+    for r in range(n):
+        if seen[r]:
+            continue
+        seen[r] = True
+        if not adj[r]:  # a vertex alone is charged by its loops only
+            low = max(low, loops[r])
+            continue
+        core = [r]
+        for x in core:
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    core.append(y)
+        core.sort()
+        idx = {v: i for i, v in enumerate(core)}
+        mul = [{idx[y]: m for y, m in adj[v].items()} for v in core]
+        low = _ChargeDP(mul, [loops[v] for v in core]).least_bound(low)
+    return low + 1
+
+
+def _drive(gen):
+    """Run a generator that yields sub-generators for the values it
+    needs, with an explicit stack in place of recursion; its return value."""
+    stack = [gen]
+    value = None
+    while True:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+
+
+class _ChargeDP:
+    """The least K such that a connected multigraph on vertices 0..k-1
+    has a spanning tree in which every vertex is charged at most K.
+
+    By the charge formula (module docstring), whether the subtree S below
+    x can be charged at most K depends on S and x alone:
+    feasible(S, x) holds iff H(x, S - {x}) >= cut(S) - [S != V] + e(S) - K,
+    where H(x, R) is the largest sum of e(P) + 1 over partitions of R into
+    parts P, each containing a neighbour c of x with feasible(P, c). A
+    child c is charged at least cut(S_c) - 1, so only connected sets of
+    cut at most K + 1 can be parts; they are enumerated per least vertex
+    on first use. H adds over the components of R and is memoized per
+    (x, connected R); the tree is rooted at vertex 0.
+
+    mul[x] maps each neighbour of x to the multiplicity of the pair and
+    loops[x] counts the loops at x. The tables of one K are dropped when
+    its decision returns, and the DP runs through `_drive`, so its depth
+    does not grow with k.
+    """
+
+    def __init__(self, mul: list[dict[int, int]], loops: list[int]):
+        self.mul = mul
+        self.loops = loops
+        self.k = len(mul)
+        self.full = (1 << self.k) - 1
+        self.nbr = [sum(1 << y for y in ms) for ms in mul]
+        self.deg = [sum(ms.values()) for ms in mul]
+
+    def least_bound(self, low: int) -> int:
+        """The least K >= low at which every charge can be at most K.
+
+        The search starts at the largest forced charge. x is charged by
+        its loops and by the copies at x the tree leaves out, all but one
+        per tree branch at x; the branches inside one component of G - x
+        are joined by copies whose paths run through x, at least one per
+        branch but one. So x is charged at least its loops + degree -
+        #components(G - x).
+        """
+        bound = low
+        for x in range(self.k):
+            rest = len(self.components(self.full & ~(1 << x)))
+            bound = max(bound, self.loops[x] + self.deg[x] - rest)
+        while not self.feasible(bound):
+            bound += 1
+        return bound
+
+    def feasible(self, bound: int) -> bool:
+        """Whether every charge can be at most bound; the tables of the
+        decision live only for this call."""
+        self.bound = bound
+        self.parts: dict[int, list[tuple[int, int, int]]] = {}
+        self.h: dict[int, int] = {}
+        self.f: dict[int, bool] = {}
+        try:
+            need = self.edges(self.full) - bound
+            return _drive(self.hsum(0, self.components(self.full & ~1))) >= need
+        finally:
+            del self.parts, self.h, self.f
+
+    def edges(self, s: int) -> int:
+        """e(s): the edge copies with both ends in s, loops included."""
+        total = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            x = low.bit_length() - 1
+            total += 2 * self.loops[x]
+            for y, m in self.mul[x].items():
+                if s >> y & 1:
+                    total += m
+        return total // 2
+
+    def components(self, s: int) -> list[int]:
+        nbr = self.nbr
+        out = []
+        while s:
+            seen = front = s & -s
+            while front:
+                nxt = 0
+                while front:
+                    low = front & -front
+                    nxt |= nbr[low.bit_length() - 1]
+                    front ^= low
+                front = nxt & s & ~seen
+                seen |= front
+            out.append(seen)
+            s &= ~seen
+        return out
+
+    def small_cut_sets(self, v: int) -> list[tuple[int, int, int]]:
+        """(P, e(P), cut(P)) for the connected sets P with least vertex v
+        and cut(P) <= K + 1: branch on the least vertex next to P, in
+        then out, and prune once the copies to the vertices kept out
+        exceed K + 1, since those stay cut."""
+        mul, loops, deg, nbr = self.mul, self.loops, self.deg, self.nbr
+        limit = self.bound + 1
+        bit = 1 << v
+        above = self.full & ~((bit << 1) - 1)
+        out = []
+        com = sum(m for y, m in mul[v].items() if y < v)
+        stack = [(bit, above, nbr[v], loops[v], deg[v], com)]
+        while stack:
+            s, free, near, e, cut, com = stack.pop()
+            front = near & free & ~s
+            if not front:
+                out.append((s, e, cut))
+                continue
+            low = front & -front
+            w = low.bit_length() - 1
+            inner = kept_out = 0
+            for y, m in mul[w].items():
+                if s >> y & 1:
+                    inner += m
+                elif not free >> y & 1:
+                    kept_out += m
+            if com + inner <= limit:
+                stack.append((s, free & ~low, near, e, cut, com + inner))
+            if com + kept_out <= limit:
+                stack.append((s | low, free, near | nbr[w], e + loops[w] + inner,
+                              cut + deg[w] - 2 * inner, com + kept_out))
+        self.parts[v] = out
+        return out
+
+    def hsum(self, x: int, parts: list[int]):
+        """H(x, r) over the components of r; -1 when some has no partition."""
+        total = 0
+        key = self.k
+        for c in parts:
+            h = self.h.get(c * key + x)
+            if h is None:
+                h = yield self.hpart(x, c)
+            if h < 0:
+                return -1
+            total += h
+        return total
+
+    def hpart(self, x: int, c: int):
+        """H(x, c) for a connected set c; -1 when no partition is valid.
+
+        A part holding c's least vertex is chosen first and the rest of c
+        is partitioned recursively. Split into j parts, the connected set
+        c keeps at least j - 1 copies between parts, so H(x, c) is at most
+        e(c) + 1 and reaching that ends the scan."""
+        nx = self.nbr[x]
+        key = self.k
+        best = most = -1
+        if c & nx:
+            low = c & -c
+            v = low.bit_length() - 1
+            sets = self.parts.get(v)
+            if sets is None:
+                sets = self.small_cut_sets(v)
+            for p, e, cut in sets:
+                if p & ~c or not p & nx:
+                    continue
+                ends = p & nx
+                while ends:
+                    bit = ends & -ends
+                    ends ^= bit
+                    y = bit.bit_length() - 1
+                    ok = self.f.get(p * key + y)
+                    if ok is None:
+                        ok = yield self.fits(p, e, cut, y)
+                    if ok:
+                        break
+                else:
+                    continue
+                rest = 0
+                if c != p:
+                    rest = yield from self.hsum(x, self.components(c & ~p))
+                    if rest < 0:
+                        continue
+                if e + 1 + rest > best:
+                    best = e + 1 + rest
+                    if most < 0:
+                        most = self.edges(c) + 1
+                    if best == most:
+                        break
+        self.h[c * key + x] = best
+        return best
+
+    def fits(self, s: int, e: int, cut: int, x: int):
+        """feasible(s, x) for a part s other than the whole vertex set.
+
+        H(x, r) is at most e(r) + #components(r), which settles many
+        parts before any partition of r is tried."""
+        r = s & ~(1 << x)
+        inner = sum(m for y, m in self.mul[x].items() if r >> y & 1)
+        spare = cut - 1 + self.loops[x] + inner - self.bound
+        if not r:
+            ok = spare <= 0
+        else:
+            parts = self.components(r)
+            ok = len(parts) >= spare and (
+                (yield from self.hsum(x, parts)) >= cut - 1 + e - self.bound
+            )
+        self.f[s * self.k + x] = ok
+        return ok

@@ -5,6 +5,15 @@ together with a maximal spanning forest T of H. Each non-forest edge
 charges every vertex on its forest path (endpoints included); the
 edge-cut width of (H, T) is one plus the largest charge. Host elements
 absent from the base graph are ghosts.
+
+exact_ecw runs in two phases. The charge DP of `treecuts.chargedp` finds
+the optimum value. Then the branch-and-bound `_least_forest` walks the
+forests in lexicographic order, looking only for forests of at most that
+value, and stops at the first one it reaches. Being first, it is the
+lex-least optimal forest, the one exact_ecw has always returned. The
+search stays the source of truth: a floor below the optimum costs only
+time, and the DP is checked against brute force and against the search
+without a floor.
 """
 from __future__ import annotations
 
@@ -234,11 +243,10 @@ def exact_ecw(g: MultiGraph, budget: int = 10**6) -> tuple[int, SpanningWitness]
     """Minimum edge-cut width of g over its own maximal spanning forests.
 
     No ghosts are introduced, so this is ecw(g) exactly. The achieving
-    forest is the lexicographically least among the optima: the
-    include-before-exclude search over lex-sorted edge pairs visits
-    forests in lexicographic order of their sorted edge tuples, a leaf
-    replaces the incumbent only when strictly better, and a branch is cut
-    only when no forest below it can be. The budget caps the spanning
+    forest is the lexicographically least among the optima. The value
+    comes from the charge DP (`chargedp.ecw_floor`); the branch-and-bound
+    `_least_forest` then searches forests in lexicographic order and
+    stops at the first one that reaches it. The budget caps the spanning
     forest count of g, whatever the search ends up visiting.
     """
     if g.num_vertices() == 0:
@@ -248,6 +256,18 @@ def exact_ecw(g: MultiGraph, budget: int = 10**6) -> tuple[int, SpanningWitness]
         raise BudgetExceededError(
             f"{count} spanning trees exceed the enumeration budget {budget}"
         )
+    # imported on first use: most callers of this module never need the DP
+    from .chargedp import ecw_floor
+
+    vs, loops, pairs = _indexed(g)
+    value, chosen = _least_forest(loops, pairs, ecw_floor(loops, pairs))
+    forest = frozenset((vs[a], vs[b]) for a, b in chosen)
+    return value, SpanningWitness(g.copy(), g.copy(), forest)
+
+
+def _indexed(g: MultiGraph) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
+    """g over vertex indices: its sorted vertices, the loop count of each
+    and the lex-sorted distinct non-loop pairs (a, b, multiplicity)."""
     vs = g.sorted_vertices()
     idx = {v: i for i, v in enumerate(vs)}
     loops = [0] * len(vs)
@@ -258,13 +278,11 @@ def exact_ecw(g: MultiGraph, budget: int = 10**6) -> tuple[int, SpanningWitness]
         else:
             pairs.append((idx[u], idx[v], m))
     pairs.sort()
-    value, chosen = _least_forest(loops, pairs)
-    forest = frozenset((vs[a], vs[b]) for a, b in chosen)
-    return value, SpanningWitness(g.copy(), g.copy(), forest)
+    return vs, loops, pairs
 
 
 def _least_forest(
-    loops: list[int], pairs: list[tuple[int, int, int]]
+    loops: list[int], pairs: list[tuple[int, int, int]], floor: int | None = None
 ) -> tuple[int, tuple[EdgePair, ...]]:
     """Branch-and-bound behind exact_ecw over vertices 0..n-1.
 
@@ -273,14 +291,29 @@ def _least_forest(
     excluded; a pair whose ends the forest already joins is excluded
     outright. Excluding is tried only if a and b stay joinable through the
     forest and pairs[i+1:], so every pass through all pairs ends in a
-    maximal spanning forest.
+    maximal spanning forest, and leaves are reached in lexicographic
+    order of their sorted pair tuples.
 
     Charges are kept per vertex as the search goes, with an undo log. An
     included pair charges its ends m - 1 and an excluded one its ends m at
     once; the interior of an excluded pair's forest path is charged when
     that path is fixed, on exclusion if its ends are joined already and
     otherwise at the union that joins them. A branch is cut once
-    1 + max charge reaches the best value found.
+    1 + max charge reaches the best value found, so no forest below it
+    can beat that value and the first forest reaching the optimum is kept.
+
+    floor, when given, should be the optimum (exact_ecw passes the DP
+    value). The search then seeks only forests of value at most floor and
+    stops at the first one whose value equals it; being first in
+    lexicographic order, that forest is the lex-least optimum. A floor
+    below the optimum only costs time: no forest reaches it, and the
+    search runs again without one. A floor above the optimum is harmless
+    only when the first forest found lies below it, since the search then
+    runs to the end; one that the first forest meets exactly ends the
+    search there, so floor must never exceed the optimum.
+
+    The search keeps its own stack of nodes, so its depth is not bounded
+    by the interpreter's recursion limit.
     """
     n = len(loops)
     charge = loops[:]
@@ -302,8 +335,11 @@ def _least_forest(
     up = [-1] * n
     depth = [0] * n
     chosen: list[EdgePair] = []
-    best = sum(m for _, _, m in pairs) + sum(loops) + 2  # above any value
-    best_forest: tuple[EdgePair, ...] = ()
+    if floor is None:
+        best = sum(m for _, _, m in pairs) + sum(loops) + 2  # above any value
+    else:
+        best = floor + 1
+    best_forest: tuple[EdgePair, ...] | None = None
 
     def find(x: int) -> int:
         while par[x] != x:
@@ -384,13 +420,21 @@ def _least_forest(
             for x in xs:
                 charge[x] -= m
 
-    def rec(i: int, pending: list[tuple[int, int, int]], top: int) -> None:
-        nonlocal best, best_forest
-        mark = len(log)
+    # A node of the search is (i, pending, top) with its log mark. Its
+    # forced steps run in place; at a pair that joins two trees the node
+    # is pushed with what undoing the inclusion needs, and the included
+    # child runs. On return the node tries the excluded child, pushed as
+    # (mark, None), and is then done.
+    stack: list[tuple] = []
+    i, pending, top, mark = 0, [], max(charge), 0
+    while True:
+        descended = False
         while top + 1 < best:
             if i == len(pairs):
                 best = top + 1
                 best_forest = tuple(chosen)
+                if best == floor:
+                    return best, best_forest
                 break
             a, b, m = pairs[i]
             ra, rb = find(a), find(b)
@@ -421,7 +465,20 @@ def _least_forest(
                     t = add(path(x, y), k, t)
                 else:
                     rest.append(p)
-            rec(i, rest, t)
+            stack.append((mark, (i, pending, top, a, b, m, ra, rb, bump, ca, moved, inner)))
+            pending, top, mark = rest, t, len(log)
+            descended = True
+            break
+        if descended:
+            continue
+        undo(mark)
+        # back to the nearest node whose excluded child is untried
+        while stack:
+            mark, state = stack.pop()
+            if state is None:
+                undo(mark)
+                continue
+            i, pending, top, a, b, m, ra, rb, bump, ca, moved, inner = state
             chosen.pop()
             fadj[a] ^= 1 << b
             fadj[b] ^= 1 << a
@@ -433,11 +490,16 @@ def _least_forest(
                 depth[x] = d
             undo(inner)
             if joinable(a, b, suf[i]):
-                rec(i, pending + [(a, b, m)], add((a, b), m, top))
+                stack.append((mark, None))
+                top = add((a, b), m, top)
+                pending = pending + [(a, b, m)]
+                mark = len(log)
+                break
+            undo(mark)
+        else:
             break
-        undo(mark)
-
-    rec(0, [], max(charge))
+    if best_forest is None:  # the floor was below the optimum
+        return _least_forest(loops, pairs)
     return best, best_forest
 
 

@@ -87,7 +87,8 @@ class MultiGraph:
         return self._num_edges
 
     def multiplicity(self, u: int, v: int) -> int:
-        return self._adj.get(u, Counter())[v]
+        adj = self._adj.get(u)
+        return 0 if adj is None else adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.multiplicity(u, v) > 0

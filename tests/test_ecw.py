@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treecuts.chargedp import ecw_floor
 from treecuts.ecw import (
     BudgetExceededError,
     EdgePair,
     SpanningWitness,
+    _indexed,
+    _least_forest,
     ecw_value,
     exact_ecw,
     feedback_edge_number,
@@ -297,6 +300,51 @@ def test_exact_ecw_matches_reference(g):
     assert (val, sorted(w.forest)) == reference_ecw(g)
 
 
+@settings(max_examples=300, deadline=None)
+@given(small_multigraphs())
+def test_charge_dp_matches_reference(g):
+    _, loops, pairs = _indexed(g)
+    assert ecw_floor(loops, pairs) == reference_ecw(g)[0]
+
+
+def test_charge_dp_matches_search_past_brute_force():
+    # 9-12 vertices with parallel pairs: several DP levels per graph
+    rng = random.Random(4104)
+    for _ in range(12):
+        g = random_connected_multi(rng, rng.randint(9, 12), rng.randint(5, 9), loops=True)
+        _, loops, pairs = _indexed(g)
+        assert ecw_floor(loops, pairs) == _least_forest(loops, pairs)[0]
+
+
+def test_least_forest_wrong_floor_keeps_golden():
+    # a floor below the optimum only costs a second search; one above
+    # every forest's value is never met, so the search runs to the end
+    for shift in ("zero", "below", "above"):
+        h = hashlib.sha256()
+        for g in golden_graphs():
+            vs, loops, pairs = _indexed(g)
+            value = ecw_floor(loops, pairs)
+            floor = {"zero": 0, "below": value - 1,
+                     "above": g.num_edges() + 2}[shift]
+            val, chosen = _least_forest(loops, pairs, floor)
+            forest = sorted((vs[a], vs[b]) for a, b in chosen)
+            h.update(f"{val} {forest}\n".encode())
+        assert h.hexdigest() == GOLDEN_DIGEST, shift
+
+
+def test_exact_ecw_long_path_and_cycle_without_recursion():
+    # the search and the DP keep their own stacks: 1200 included pairs,
+    # and a 520-cycle whose DP nests more than 1000 calls deep
+    g = MultiGraph(range(1200), [(i, i + 1) for i in range(1199)])
+    val, w = exact_ecw(g)
+    assert val == 1
+    assert validate_witness(w) == []
+    cycle = MultiGraph(range(520), [(i, (i + 1) % 520) for i in range(520)])
+    _, loops, pairs = _indexed(cycle)
+    assert ecw_floor(loops, pairs) == 2
+    assert _least_forest(loops, pairs, 2)[0] == 2
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_spanning_tree_count_matches_networkx(seed):
     nx = pytest.importorskip("networkx")
@@ -333,8 +381,9 @@ def test_spanning_tree_count_long_path_is_fast():
 
 
 def test_ladder12_within_raised_budget():
-    # 2,107,560 spanning trees: above the default budget, but pruning
-    # keeps the search to a small part of them
+    # 2,107,560 spanning trees: above the default budget, but the charge
+    # DP gives the optimum 3 up front and the search stops at the first
+    # forest that reaches it
     g = ladder(12)
     assert spanning_tree_count(g) == 2107560
     val, w = exact_ecw(g, budget=3 * 10**6)
