@@ -389,18 +389,29 @@ class _TreePass:
         i = self.pos[t]
         return self.order[i : i + self.size[t]]
 
-    def centers(self, t: int) -> tuple[int, int, int]:
-        """Sizes of center(torso(t), bag, level) at levels 3, 2 and 1."""
+    def _tables(self, t: int, fits: int = -1):
+        """|bag| and the deg and mult tables of t's torso groups, as
+        _center_size takes them. The groups are every child with a
+        non-empty Y_c, then a non-empty outside. None when |bag| plus the
+        group count is at most fits: even a center keeping every group
+        has no more vertices."""
         groups: list[int | None] = [c for c in self.children[t] if self.ys[c]]
         if t != self.d.root and len(self.ys[t]) < len(self.ys[self.d.root]):
             groups.append(None)
+        nbag = len(self.d.bags[t])
+        if nbag + len(groups) <= fits:
+            return None
         deg = [self.adhesion[t if c is None else c] for c in groups]
         index = {c: i for i, c in enumerate(groups)}
         mult = [[0] * len(groups) for _ in groups]
         for (a, b), m in self.links[t].items():
             i, j = index[a], index[b]
             mult[i][j] = mult[j][i] = m
-        nbag = len(self.d.bags[t])
+        return nbag, deg, mult
+
+    def centers(self, t: int) -> tuple[int, int, int]:
+        """Sizes of center(torso(t), bag, level) at levels 3, 2 and 1."""
+        nbag, deg, mult = self._tables(t)
         tor1 = _center_size(nbag, deg, mult, 1)
         tor2 = _center_size(nbag, list(deg), [list(row) for row in mult], 2)
         return _center_size(nbag, deg, mult, 3), tor2, tor1
@@ -437,6 +448,23 @@ class _TreePass:
         slim = max((max(s.adhesion, s.tor2) for s in per.values()), default=0)
         zero = max((max(s.adhesion, s.tor1) for s in per.values()), default=0)
         return WidthReport(width=width, slim_width=slim, zero_width=zero, per_node=per)
+
+    def within(self, w: int, s: int) -> bool:
+        """report().width <= w and report().slim_width <= s, stopping at
+        the first node that breaks either. tor <= tor2, so level 3 is
+        peeled only where tor2 exceeds w."""
+        fits = min(w, s)
+        for t in self.nodes:
+            if self.adhesion[t] > fits:
+                return False
+            tables = self._tables(t, fits)
+            if tables is None:
+                continue
+            nbag, deg, mult = tables
+            tor2 = _center_size(nbag, list(deg), [list(row) for row in mult], 2)
+            if tor2 > s or (tor2 > w and _center_size(nbag, deg, mult, 3) > w):
+                return False
+        return True
 
     def not_nice(self) -> list[int]:
         """Thin non-root nodes t whose N(Y_t) meets a sibling subtree,

@@ -9,6 +9,7 @@ carrying the corresponding width bounds.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from itertools import count
 
 from .decomposition import (
@@ -30,10 +31,11 @@ def _state_signature(d: TreeCutDecomposition):
     return (d.root, tuple(sorted((t, p) for t, p in d.parent.items() if p is not None)))
 
 
-def _moves_for(tp: _TreePass, t: int) -> list[tuple[int, int]]:
+def _moves_for(tp: _TreePass, t: int) -> Iterator[tuple[int, int]]:
     """Ordered (node, new_parent) reattachments aimed at one violating
     thin node: push it into an offending sibling subtree, pull an
-    offending sibling below it, or scatter it elsewhere."""
+    offending sibling below it, or scatter it elsewhere. Each group is
+    ranked only when the one before it is used up."""
     p = tp.parent[t]
     assert p is not None
     nyt = tp.outside[t]
@@ -45,31 +47,30 @@ def _moves_for(tp: _TreePass, t: int) -> list[tuple[int, int]]:
 
     primary = [q for s in offenders for q in tp.subtree(s) if nyt & tp.ys[q]]
     primary.sort(key=deepest_first)
-    moves = [(t, q) for q in primary]
+    for q in primary:
+        yield (t, q)
     sub_t_nodes = sorted(sub_t, key=deepest_first)
     for s in offenders:
         nys = tp.outside[s]
         ranked = sorted(
             sub_t_nodes, key=lambda q: (not (nys & tp.ys[q]), -tp.depth[q], q)
         )
-        moves.extend((s, q) for q in ranked)
+        for q in ranked:
+            yield (s, q)
     skip = {p, *sub_t, *primary}
-    secondary = sorted((q for q in tp.nodes if q not in skip), key=deepest_first)
-    moves.extend((t, q) for q in secondary)
-    return moves
+    for q in sorted((q for q in tp.nodes if q not in skip), key=deepest_first):
+        yield (t, q)
 
 
-def _candidate_moves(tp: _TreePass, bad: list[int]) -> list[tuple[int, int]]:
+def _candidate_moves(tp: _TreePass, bad: list[int]) -> Iterator[tuple[int, int]]:
     # deepest violation first, but every violating node contributes;
     # the fixing move sometimes belongs to a shallower one
-    moves: list[tuple[int, int]] = []
     emitted = set()
     for t in sorted(bad, key=lambda x: (-tp.depth[x], x)):
         for mv in _moves_for(tp, t):
             if mv not in emitted:
                 emitted.add(mv)
-                moves.append(mv)
-    return moves
+                yield mv
 
 
 def _verified_dfs(
@@ -85,15 +86,16 @@ def _verified_dfs(
         return cur
     seen = {_state_signature(cur)}
     # iterative, one frame per committed move, so long move sequences
-    # don't hit the recursion limit; each frame's moves are listed from
-    # the pass of its own state, before the tree changes again
-    stack: list[tuple[tuple[int, int | None] | None, object]] = [
-        (None, iter(_candidate_moves(tp, bad)))
+    # don't hit the recursion limit; a frame's move generator reads the
+    # pass of its own state, and it only advances when cur is back in
+    # that state
+    stack: list[tuple[tuple[int, int | None] | None, Iterator[tuple[int, int]]]] = [
+        (None, _candidate_moves(tp, bad))
     ]
     while stack:
         undo, move_iter = stack[-1]
         advanced = False
-        for node, q in move_iter:  # resumes the frame's iterator
+        for node, q in move_iter:  # resumes the frame's generator
             old = cur.parent[node]
             cur.parent[node] = q
             sig = _state_signature(cur)
@@ -105,12 +107,11 @@ def _verified_dfs(
             if budget < 0:
                 return None
             tp = _TreePass(cur, g)
-            rep = tp.report()
-            if rep.width <= w0 and rep.slim_width <= s0:
+            if tp.within(w0, s0):
                 bad = tp.not_nice()
                 if not bad:
                     return cur
-                stack.append(((node, old), iter(_candidate_moves(tp, bad))))
+                stack.append(((node, old), _candidate_moves(tp, bad)))
                 advanced = True
                 break
             cur.parent[node] = old

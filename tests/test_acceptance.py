@@ -200,7 +200,7 @@ def _random_immersion_op(rng, g):
 
 
 def test_ac6_immersion_monotonicity():
-    """One random weak-immersion step never raises slim or zero width."""
+    """One random weak-immersion step never raises any of the three widths."""
     rng = random.Random(CORPUS_SEED + 6)
     violations = []
     for _ in range(500):
@@ -209,7 +209,7 @@ def test_ac6_immersion_monotonicity():
         )
         op = _random_immersion_op(rng, g)
         h = apply_immersion(g, op)
-        for variant in ("stcw", "tcw0"):
+        for variant in ("tcw", "stcw", "tcw0"):
             before = cached_width(g, variant)[0]
             after = cached_width(h, variant)[0]
             if after > before:

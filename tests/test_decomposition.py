@@ -8,6 +8,7 @@ from treecuts.decomposition import (
     InvalidDecompositionError,
     NodeStats,
     TreeCutDecomposition,
+    _TreePass,
     adhesion,
     center,
     consolidate,
@@ -322,3 +323,16 @@ def test_node_stats_match_reference(case, k_hint):
         assert hinted.b2_lower_bound == want.tor2 - 3 * k_hint - 2
     assert is_nice(d, g) == reference_is_nice(d, g)
     assert decomposable_nodes(d, g) == reference_decomposable(d, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(decomposed())
+def test_within_matches_report(case):
+    # the move search's width-pair check against the full report, on
+    # both sides of each bound
+    g, d = case
+    tp = _TreePass(d, g)
+    rep = tp.report()
+    for w in range(rep.width - 1, rep.width + 2):
+        for s in range(rep.slim_width - 1, rep.slim_width + 2):
+            assert tp.within(w, s) == (rep.width <= w and rep.slim_width <= s), (w, s)

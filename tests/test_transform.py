@@ -16,9 +16,11 @@ from treecuts.ecw import SpanningWitness, validate_witness, witness_ecw
 from treecuts.families import ladder, star, wall, windmill
 from treecuts.formats import decomposition_to_json, witness_to_json
 from treecuts.multigraph import MultiGraph
+from treecuts import transform
 from treecuts.oracle import exact_width
 from treecuts.transform import (
     TransformError,
+    _verified_dfs,
     decomposition_to_witness,
     make_nice,
     make_very_nice,
@@ -252,3 +254,59 @@ def test_transform_outputs_golden():
     # make_very_nice's move order and both bridges' choices of connectors
     # decide these bytes; any drift in either changes the digest
     assert transform_digest() == TRANSFORM_GOLDEN
+
+
+def midsize_sources():
+    """Seeded loopy multigraphs of 12-20 vertices plus families, each
+    paired with its star decomposition."""
+    rng = random.Random(8812)
+    graphs = []
+    for _ in range(20):
+        n = rng.randint(12, 20)
+        graphs.append(random_connected_multi(rng, n, rng.randint(0, n // 2), loops=True))
+    graphs += [wall(4), wall(5), wall(6), ladder(8), windmill(6)]
+    return [(g, star_decomposition(g)) for g in graphs]
+
+
+# recorded from the code before the lazy move lists and the width-pair check
+MIDSIZE_GOLDEN = "e24a3a1c9e208578fbde5575dee74e44b36ab7c60621c88197b9713ea098f00f"
+
+
+def test_make_very_nice_midsize_golden():
+    h = hashlib.sha256()
+    for g, d in midsize_sources():
+        h.update(decomposition_to_json(make_very_nice(d, g)).encode())
+    assert h.hexdigest() == MIDSIZE_GOLDEN
+
+
+# index into midsize_sources() -> (least budget at which the verified
+# DFS succeeds, sha256 prefix of the states it evaluates, in order);
+# recorded from the code before the lazy move lists
+DFS_STATES = {
+    3: (17, "55a5fd8201957ca7"),  # n = 20
+    17: (17, "dea6a65d900b8b37"),  # n = 19
+    22: (18, "c60c15c9ee931693"),  # wall(6)
+    24: (12, "6d84a8720d66da84"),  # windmill(6)
+}
+
+
+@pytest.mark.parametrize("index", sorted(DFS_STATES))
+def test_verified_dfs_state_sequence_pinned(index, monkeypatch):
+    # the same states in the same order: a search that reaches the same
+    # tree along another path evaluates other states, and one that takes
+    # a longer path needs a larger budget
+    g, d = midsize_sources()[index]
+    rep = width_report(d, g)
+    states, digest = DFS_STATES[index]
+    assert _verified_dfs(d, g, rep.width, rep.slim_width, states - 1) is None
+    visited = []
+
+    class Recording(transform._TreePass):
+        def __init__(self, dec, graph):
+            visited.append(transform._state_signature(dec))
+            super().__init__(dec, graph)
+
+    monkeypatch.setattr(transform, "_TreePass", Recording)
+    assert _verified_dfs(d, g, rep.width, rep.slim_width, states) is not None
+    assert len(visited) == states + 1  # the input's own pass comes first
+    assert hashlib.sha256(repr(visited).encode()).hexdigest()[:16] == digest
