@@ -31,11 +31,9 @@ class ProviderError(RuntimeError):
 
 
 def oracle_provider(g: MultiGraph, omega: int) -> TreeCutDecomposition | None:
-    """Exact tree-cut width as a (trivially valid) 2-approximation. The
-    oracle's normalizations leave at most n - 1 empty bags, so with that
-    budget a None proves tcw(g) > omega (at no extra time on 7-9 vertices)."""
-    n = g.num_vertices()
-    value, d = exact_width(g, "tcw", empty_budget=max(n - 1, 0), max_vertices=9)
+    """Exact tree-cut width as a (trivially valid) 2-approximation; a None
+    proves tcw(g) > omega."""
+    value, d = exact_width(g, "tcw", max_vertices=9)
     return d if value <= omega else None
 
 

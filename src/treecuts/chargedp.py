@@ -17,38 +17,32 @@ it.
 """
 from __future__ import annotations
 
+from .ecw import _peel_pendants
+
 
 def ecw_floor(loops: list[int], pairs: list[tuple[int, int, int]]) -> int:
     """Edge-cut width of the multigraph on vertices 0..n-1; 0 when n is 0.
 
     loops[x] counts the loops at x and pairs are the distinct non-loop
-    pairs (a, b, multiplicity), as `ecw._indexed` gives them. Pendant vertices, those with one distinct loopless neighbour, are
-    peeled first, as in spanning_tree_count: a pendant vertex v with m
-    copies to u is a leaf of every spanning tree, charged m - 1 plus its
-    loops, and its m - 1 spare copies charge u alone, like loops at u. The
-    DP then runs on what is left of each component, from the largest
-    charge the peeling forced.
+    pairs (a, b, multiplicity), as `ecw._indexed` gives them. Pendant
+    vertices, those with one distinct loopless neighbour, are peeled
+    first, as in spanning_tree_count: a pendant vertex v with m copies to
+    u is a leaf of every spanning tree, charged m - 1 plus its loops, and
+    its m - 1 spare copies charge u alone, like loops at u. The DP then
+    runs on what is left of each component, from the largest charge the
+    peeling forced.
     """
     n = len(loops)
     if n == 0:
         return 0
     loops = loops[:]
-    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    adj: dict[int, dict[int, int]] = {v: {} for v in range(n)}
     for a, b, m in pairs:
         adj[a][b] = adj[b][a] = m
     low = 0
-    pendant = [v for v in range(n) if len(adj[v]) == 1]
-    while pendant:
-        v = pendant.pop()
-        if len(adj[v]) != 1:  # its neighbour was peeled before it
-            continue
-        (u, m), = adj[v].items()
-        adj[v].clear()
-        del adj[u][v]
+    for v, u, m in _peel_pendants(adj):
         low = max(low, loops[v] + m - 1)
         loops[u] += m - 1
-        if len(adj[u]) == 1:
-            pendant.append(u)
     seen = [False] * n
     for r in range(n):
         if seen[r]:

@@ -51,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--variant", required=True, choices=["tcw", "stcw", "tcw0"])
     p.add_argument("--max-vertices", type=int, default=6)
-    p.add_argument("--empty-budget", type=int, default=2)
 
     p = sub.add_parser("to-witness", help="decomposition to spanning witness")
     p.add_argument("graph")
@@ -149,14 +148,10 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "oracle":
         g = formats.load_graph(_read(args.graph))
-        value, d = exact_width(
-            g, args.variant, empty_budget=args.empty_budget, max_vertices=args.max_vertices
-        )
+        value, d = exact_width(g, args.variant, max_vertices=args.max_vertices)
         obj = {
             "variant": args.variant,
             "value": value,
-            "empty_budget": args.empty_budget,
-            "note": "exact relative to the empty-bag budget",
             "decomposition": json.loads(formats.decomposition_to_json(d)),
         }
         print(json.dumps(obj, indent=2))

@@ -297,7 +297,6 @@ class NodeStats:
     children_A: frozenset[int]
     children_B: frozenset[int]
     children_B2: frozenset[int]
-    b2_lower_bound: int | None = None  # tor2 - 3k - 2 when a width hint is given
 
 
 @dataclass
@@ -416,7 +415,7 @@ class _TreePass:
         tor2 = _center_size(nbag, list(deg), [list(row) for row in mult], 2)
         return _center_size(nbag, deg, mult, 3), tor2, tor1
 
-    def stats(self, t: int, k_hint: int | None = None) -> NodeStats:
+    def stats(self, t: int) -> NodeStats:
         tor, tor2, tor1 = self.centers(t)
         adh = self.adhesion[t]
         bag = self.d.bags[t]
@@ -429,7 +428,6 @@ class _TreePass:
                     b2_set.add(b)
             else:
                 a_set.add(b)
-        bound = None if k_hint is None else tor2 - 3 * k_hint - 2
         return NodeStats(
             adhesion=adh,
             tor=tor,
@@ -439,7 +437,6 @@ class _TreePass:
             children_A=frozenset(a_set),
             children_B=frozenset(b_set),
             children_B2=frozenset(b2_set),
-            b2_lower_bound=bound,
         )
 
     def report(self) -> WidthReport:
@@ -509,12 +506,10 @@ class _TreePass:
         return out
 
 
-def node_stats(
-    d: TreeCutDecomposition, g: MultiGraph, t: int, k_hint: int | None = None
-) -> NodeStats:
+def node_stats(d: TreeCutDecomposition, g: MultiGraph, t: int) -> NodeStats:
     if t not in d.parent:
         raise KeyError(f"unknown node {t}")
-    return _TreePass(d, g).stats(t, k_hint)
+    return _TreePass(d, g).stats(t)
 
 
 def width_report(d: TreeCutDecomposition, g: MultiGraph) -> WidthReport:

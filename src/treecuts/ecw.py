@@ -17,7 +17,7 @@ without a floor.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .multigraph import MultiGraph, _norm
@@ -198,33 +198,42 @@ def _det_int(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _peel_pendants(adj: dict[int, dict[int, int]]) -> Iterator[tuple[int, int, int]]:
+    """Peel the pendant vertices off a loopless adjacency of multiplicities,
+    in place, and yield (v, u, m) for each: v had one distinct neighbour u,
+    joined by m copies, and is left with none. A neighbour left pendant is
+    peeled in turn, so a tree component peels down to one vertex."""
+    pendant = [v for v in sorted(adj) if len(adj[v]) == 1]
+    while pendant:
+        v = pendant.pop()
+        if len(adj[v]) != 1:  # its neighbour was peeled before it
+            continue
+        (u, m), = adj[v].items()
+        adj[v].clear()
+        del adj[u][v]
+        if len(adj[u]) == 1:
+            pendant.append(u)
+        yield v, u, m
+
+
 def spanning_tree_count(g: MultiGraph) -> int:
     """Number of spanning forests maximal in g, counting parallel copies
     as distinct (matrix-tree theorem per component; loops ignored).
 
-    Pendant vertices, those with one distinct loopless neighbour, are
-    peeled first: every spanning tree uses one of the m copies to the
-    neighbour, so each peel multiplies the count by m. The determinant
-    runs only on what is left of each component.
+    Pendant vertices are peeled first: every spanning tree uses one of
+    the m copies to the neighbour, so each peel multiplies the count by m.
+    The determinant runs only on what is left of each component.
     """
     adj: dict[int, dict[int, int]] = {v: {} for v in g.vertices()}
     for u, v, m in g.edge_pairs():
         if u != v:
             adj[u][v] = adj[v][u] = m
     total = 1
-    pendant = [v for v in sorted(adj) if len(adj[v]) == 1]
-    while pendant:
-        v = pendant.pop()
-        if len(adj[v]) != 1:  # its neighbour was peeled before it
-            continue
-        (u, m), = adj.pop(v).items()
+    for _, _, m in _peel_pendants(adj):
         total *= m
-        del adj[u][v]
-        if len(adj[u]) == 1:
-            pendant.append(u)
     for comp in g.components():
         # peeling never disconnects what is left of a component
-        vs = sorted(v for v in comp if adj.get(v))
+        vs = sorted(v for v in comp if adj[v])
         if not vs:
             continue
         idx = {v: i for i, v in enumerate(vs)}

@@ -27,30 +27,26 @@ class SizeLimitError(ValueError):
 def exact_width(
     g: MultiGraph,
     variant: str,
-    empty_budget: int = 2,
     max_vertices: int = 6,
 ) -> tuple[int, TreeCutDecomposition]:
     """Exact tcw / stcw / tcw0 with an achieving decomposition.
 
-    Searches all rooted decompositions using at most empty_budget empty
-    bags, after two harmless normalizations: leaves always have non-empty
-    bags, and no empty-bag node has exactly one child (contracting such a
-    node onto its child never increases any width). Exactness is relative
-    to the budget; all bounds checked elsewhere in the suite are one-sided
-    and survive under-budgeting. The returned decomposition is the first
-    optimum in a fixed deterministic enumeration order (bags by size then
-    lexicographic order, child parts smallest-first).
+    Searches all rooted decompositions after two harmless normalizations:
+    leaves always have non-empty bags, and no empty-bag node has exactly
+    one child (contracting such a node onto its child never increases any
+    width). Among the optima it prefers fewest empty bags, and it returns
+    the first such decomposition in a fixed deterministic enumeration
+    order (bags by size then lexicographic order, child parts
+    smallest-first).
     """
     if variant not in VARIANT_LEVEL:
         raise ValueError(f"variant must be one of {sorted(VARIANT_LEVEL)}")
-    if empty_budget < 0:
-        raise ValueError("empty_budget must be non-negative")
     n = g.num_vertices()
     if n > max_vertices:
         raise SizeLimitError(f"{n} vertices exceed the search limit {max_vertices}")
     if n == 0:
         return 0, TreeCutDecomposition(0, {0: None}, {0: set()})
-    search = _Search(g, VARIANT_LEVEL[variant], empty_budget)
+    search = _Search(g, VARIANT_LEVEL[variant])
     for w in range(1, n + 1):
         plan = search.run(w)
         if plan is not None:
@@ -72,10 +68,13 @@ class _Search:
     (the root has adhesion 0 by definition, matching its empty cut).
     """
 
-    def __init__(self, g: MultiGraph, level: int, budget: int):
+    def __init__(self, g: MultiGraph, level: int):
         self.vertices = g.sorted_vertices()
         self.level = level
-        self.budget = budget
+        # Every empty node has two or more children and every leaf holds
+        # a vertex, so a (sub)tree has fewer empty nodes than leaves, that
+        # is fewer than the vertices it covers: this cap prunes nothing.
+        self.cap = len(self.vertices) - 1
         self.all = (1 << len(self.vertices)) - 1
         self.cut = _cut_table(g)
         self.bags_of: dict[int, list[int]] = {}
@@ -85,7 +84,7 @@ class _Search:
         self.wmax = wmax
         self.memo: dict[int, float] = {}
         self.choice: dict[int, tuple[int, tuple[int, ...]]] = {}
-        if self._min_empties(self.all) > self.budget:
+        if self._min_empties(self.all) > self.cap:
             return None
         parent: dict[int, int | None] = {}
         bags: dict[int, set[int]] = {}
@@ -147,15 +146,13 @@ class _Search:
                 # the center keeps every bag vertex, and later bags are no smaller
                 break
             own = 0 if x else 1
-            if own > self.budget:
-                continue
             rest = y ^ x
             if not rest:
                 if x and self._torso_ok(y, x, ()):
                     best, best_choice = 0, (x, ())
                     break
                 continue
-            for parts, cost in self._partitions(rest, self.budget - own):
+            for parts, cost in self._partitions(rest, self.cap - own):
                 if not x and len(parts) < 2:
                     continue
                 total = own + cost

@@ -329,7 +329,7 @@ def test_ac10_transformation_soundness(corpus):
                 continue
             k = after.width
             for t in out.nodes():
-                s = node_stats(out, g, t, k_hint=k)
+                s = node_stats(out, g, t)
                 if len(s.children_B2) < s.tor2 - 3 * k - 2:
                     violations.append((sorted(g.edges()), "B2 bound", t))
     verdict(

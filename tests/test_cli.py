@@ -17,7 +17,11 @@ def test_gen_and_oracle_round(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["value"] == 1
-    assert "empty-bag budget" in obj["note"]
+    assert set(obj) == {"variant", "value", "decomposition"}
+    # the oracle is exhaustive and has no empty-bag setting to pass
+    code, _, err = run(capsys, "oracle", gpath, "--variant", "tcw", "--empty-budget", "3")
+    assert code == 2
+    assert "unrecognized arguments" in err
 
 
 def test_widths_verify_witness_pipeline(tmp_path, capsys):

@@ -97,6 +97,19 @@ def test_loops_and_parallels():
     assert validate(d, h) == []
 
 
+def test_optimum_needing_an_empty_bag():
+    # decompositions without empty bags reach only 4 for stcw and tcw0
+    # here; the optimum 3 hangs three paths of two bags off an empty root
+    g = MultiGraph(range(6), [(0, 4)] * 3 + [(1, 2)] * 2 + [(3, 5)] * 2)
+    for u, v in [(1, 3), (2, 3), (2, 4), (3, 4), (4, 4), (5, 5)]:
+        g.add_edge(u, v)
+    for var, field in (("stcw", "slim_width"), ("tcw0", "zero_width")):
+        val, d = exact_width(g, var)
+        assert val == 3
+        assert validate(d, g) == [] and d.bags[d.root] == set()
+        assert getattr(width_report(d, g), field) == 3
+
+
 def test_size_limit():
     g = path(7)
     with pytest.raises(SizeLimitError):
@@ -116,14 +129,6 @@ def test_deterministic():
     assert v1 == v2
     assert d1.parent == d2.parent
     assert d1.bags == d2.bags
-
-
-def test_empty_budget_matters_only_so_much():
-    # a larger empty-bag budget can never report a larger width
-    g = cycle(5)
-    tight = exact_width(g, "stcw", empty_budget=0)[0]
-    loose = exact_width(g, "stcw", empty_budget=3)[0]
-    assert loose <= tight
 
 
 def test_exact_treewidth_values():
@@ -158,9 +163,11 @@ def golden_calls():
     loopy.append(one)
     for g in loopy:
         calls += [(g, var, {}) for var in VARIANTS]
-    for budget in (0, 3):
-        calls += [(cycle(5), var, {"empty_budget": budget}) for var in VARIANTS]
-        calls.append((star(4), "tcw", {"empty_budget": budget}))
+    # twice: the digest was recorded when these calls ran at empty-bag
+    # budgets 0 and 3, a setting the search no longer has
+    for _ in range(2):
+        calls += [(cycle(5), var, {}) for var in VARIANTS]
+        calls.append((star(4), "tcw", {}))
     calls.append((cycle(7), "stcw", {"max_vertices": 7}))
     return calls
 
@@ -177,6 +184,38 @@ def test_first_optimum_golden():
     # the first optimum depends on the enumeration order of bags and
     # parts; any drift in that order changes this digest
     assert golden_digest() == GOLDEN_DIGEST
+
+
+# recorded with the empty-bag budget set to n - 1, its exhaustive value,
+# before the search lost that setting
+EXHAUSTIVE_DIGEST = "a6c280c759577499182c6de08372b54793117352e010e53a048fea0f8ca8c1ab"
+
+
+def exhaustive_corpus() -> list[MultiGraph]:
+    """100 seeded 4-7-vertex multigraphs with uniform random edge ends,
+    so loops, parallel edges and disconnected graphs all occur."""
+    rng = random.Random(20261018)
+    out = []
+    for _ in range(100):
+        n = rng.randint(4, 7)
+        g = MultiGraph(range(n))
+        for _ in range(rng.randint(n, 2 * n + 2)):
+            g.add_edge(rng.randrange(n), rng.randrange(n))
+        out.append(g)
+    return out
+
+
+def test_exhaustive_corpus_golden():
+    graphs = exhaustive_corpus()
+    assert sum(not g.is_connected() for g in graphs) >= 20
+    assert sum(any(u == v for u, v, _ in g.edge_pairs()) for g in graphs) >= 20
+    assert sum(any(m > 1 for _, _, m in g.edge_pairs()) for g in graphs) >= 20
+    h = hashlib.sha256()
+    for g in graphs:
+        for var in VARIANTS:
+            value, d = exact_width(g, var, max_vertices=7)
+            h.update(f"{var} {value}\n{decomposition_to_json(d)}\n".encode())
+    assert h.hexdigest() == EXHAUSTIVE_DIGEST
 
 
 def kernel_and_reference(g, bag, groups, level):
