@@ -14,6 +14,7 @@ are the reference the pass is tested against.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from .multigraph import MultiGraph, _norm
@@ -90,16 +91,20 @@ def validate(d: TreeCutDecomposition, g: MultiGraph) -> list[str]:
         if p is not None and p not in d.parent:
             out.append(f"node {t} has unknown parent {p}")
             return out
-    # every node must reach the root, which also rules out cycles
+    # every node must reach the root, which also rules out cycles; a walk
+    # stops at the first node already known to reach it, so each node is
+    # walked over once
+    reaches: set[int] = set()
     for t in d.parent:
         seen = set()
         cur: int | None = t
-        while cur is not None and cur not in seen:
+        while cur is not None and cur not in seen and cur not in reaches:
             seen.add(cur)
             cur = d.parent[cur]
-        if cur is not None or d.root not in seen:
+        if cur not in reaches and (cur is not None or d.root not in seen):
             out.append(f"node {t} does not reach the root")
             return out
+        reaches |= seen
     gv = g.vertices()
     covered: set[int] = set()
     for t in sorted(d.bags):
@@ -287,6 +292,15 @@ def _center_size(
     return nbag + sum(alive)
 
 
+def _bump(counts: dict, key, m: int) -> None:
+    """Add m to counts[key], dropping the key when it reaches zero."""
+    c = counts.get(key, 0) + m
+    if c:
+        counts[key] = c
+    else:
+        del counts[key]
+
+
 @dataclass
 class NodeStats:
     adhesion: int
@@ -316,15 +330,17 @@ class _TreePass:
     walks each edge up from the nodes of its two ends to their lowest
     common ancestor. The edge crosses the cut of every node passed below
     that ancestor, which gives adhesions and the outside neighbourhoods
-    N(Y_t). At a passed node other than an end's own node, the edge joins
-    two groups of that node's torso: the child it came up from and the
-    group of everything outside Y_t. At the ancestor it joins the two
-    children it came up from, unless an end sits in the ancestor's bag.
-    Those counts are the edges between the consolidated groups of every
-    torso, so center sizes come from _center_size with no torso built.
+    N(Y_t), kept as edge-copy counts per neighbour. At a passed node other
+    than an end's own node, the edge joins two groups of that node's
+    torso: the child it came up from and the group of everything outside
+    Y_t. At the ancestor it joins the two children it came up from, unless
+    an end sits in the ancestor's bag. Those counts are the edges between
+    the consolidated groups of every torso, so center sizes come from
+    _center_size with no torso built.
 
-    The pass reflects the tree as it was when built: recompute it after
-    any change. Raises InvalidDecompositionError on an invalid d.
+    move() keeps the pass current through a reattachment, changing d's
+    parent map itself; recompute the pass after any other change. Raises
+    InvalidDecompositionError on an invalid d.
     """
 
     def __init__(self, d: TreeCutDecomposition, g: MultiGraph):
@@ -354,34 +370,105 @@ class _TreePass:
                 y |= self.ys[c]
                 size += self.size[c]
             self.ys[t], self.size[t] = y, size
-        self.owner = {v: t for t, bag in d.bags.items() for v in bag}
-        self.adhesion = adh = dict.fromkeys(parent, 0)
-        self.outside: dict[int, set[int]] = {t: set() for t in parent}  # N(Y_t)
+        self.owner = owner = {v: t for t, bag in d.bags.items() for v in bag}
+        self.adhesion = dict.fromkeys(parent, 0)
+        # N(Y_t): outside neighbour -> edge copies between it and Y_t
+        self.outside: dict[int, dict[int, int]] = {t: {} for t in parent}
         # per node, edge counts between its torso groups, keyed by
         # (child, None) for a child and the outside, (c1, c2) for two
         # children with c1 < c2
         self.links: dict[int, dict] = {t: {} for t in parent}
         for u, v, m in g.edge_pairs():
-            x, y = self.owner[u], self.owner[v]
-            below_x = below_y = None  # the node each walk came from
-            while x != y:
-                if depth[x] >= depth[y]:
-                    x, below_x = self._cross(x, below_x, v, m), x
-                else:
-                    y, below_y = self._cross(y, below_y, u, m), y
-            if below_x is not None and below_y is not None:
-                key = _norm(below_x, below_y)
-                self.links[x][key] = self.links[x].get(key, 0) + m
+            self._walk(owner[u], None, owner[v], None, u, v, m)
+
+    def _walk(self, x: int, below_x, y: int, below_y, u: int, v: int, m: int):
+        """Add m copies (m < 0 removes them) of the edge uv, walked up from
+        node x on u's side and node y on v's side to their lowest common
+        ancestor, each arriving from the child below_x / below_y (None at
+        the edge's own end)."""
+        depth = self.depth
+        while x != y:
+            if depth[x] >= depth[y]:
+                x, below_x = self._cross(x, below_x, v, m), x
+            else:
+                y, below_y = self._cross(y, below_y, u, m), y
+        if below_x is not None and below_y is not None:
+            _bump(self.links[x], _norm(below_x, below_y), m)
 
     def _cross(self, t: int, below: int | None, far: int, m: int) -> int | None:
         """Record m copies of an edge leaving Y_t toward the vertex far,
         arriving from the child below (None at the edge's own end)."""
         self.adhesion[t] += m
-        self.outside[t].add(far)
+        _bump(self.outside[t], far, m)
         if below is not None:
-            key = (below, None)
-            self.links[t][key] = self.links[t].get(key, 0) + m
+            _bump(self.links[t], (below, None), m)
         return self.parent[t]
+
+    def move(self, t: int, q: int) -> list[int]:
+        """Reattach t below q in place, and return the nodes whose
+        adhesion or torso changed: the tree path from t's old parent to q,
+        their lowest common ancestor included. Moving t back to its old
+        parent undoes the move exactly.
+
+        Bags never change, so only a q inside t's own subtree (t itself
+        included) would break validity; that raises
+        InvalidDecompositionError and leaves the pass untouched. Edges
+        with both ends in Y_t or none keep their walks, and those with
+        one end in Y_t are re-walked above t only.
+        """
+        p = self.parent[t]
+        i, n_t = self.pos[t], self.size[t]
+        if p is None or i <= self.pos[q] < i + n_t:
+            raise InvalidDecompositionError([f"node {q} lies in the subtree of node {t}"])
+        if q == p:
+            return []
+        depth, parent, owner, size, ys = self.depth, self.parent, self.owner, self.size, self.ys
+        old_side, new_side = [], []
+        a, b = p, q
+        while a != b:
+            if depth[a] >= depth[b]:
+                old_side.append(a)
+                a = parent[a]
+            else:
+                new_side.append(b)
+                b = parent[b]
+        yt = ys[t]
+        g = self.g
+        crossing = [
+            (u, v, g.multiplicity(u, v)) for u in yt for v in g.neighbors(u) if v not in yt
+        ]
+        for u, v, m in crossing:
+            self._walk(p, t, owner[v], None, u, v, -m)
+        for s in old_side:
+            ys[s] -= yt
+            size[s] -= n_t
+        for s in new_side:
+            ys[s] |= yt
+            size[s] += n_t
+        self.children[p].remove(t)
+        kids = self.children[q]
+        k = bisect.bisect(kids, t)
+        kids.insert(k, t)
+        parent[t] = q
+        # the preorder takes children in descending order, so t's run goes
+        # just before that of its next smaller sibling, or ends q's run
+        order, pos = self.order, self.pos
+
+        def cut(x: int) -> int:  # x's position once t's run is cut out
+            return pos[x] - n_t if pos[x] > i else pos[x]
+
+        j = cut(kids[k - 1]) if k else cut(q) + size[q] - n_t
+        run = order[i : i + n_t]
+        del order[i : i + n_t]
+        order[j:j] = run
+        for at in range(min(i, j), max(i, j) + n_t):
+            pos[order[at]] = at
+        shift = depth[q] + 1 - depth[t]
+        for s in run:
+            depth[s] += shift
+        for u, v, m in crossing:
+            self._walk(q, t, owner[v], None, u, v, m)
+        return old_side + new_side + [a]
 
     def subtree(self, t: int) -> list[int]:
         """Nodes of the subtree rooted at t, in preorder."""
@@ -421,7 +508,7 @@ class _TreePass:
         bag = self.d.bags[t]
         a_set, b_set, b2_set = set(), set(), set()
         for b in self.children[t]:
-            nb = self.outside[b]
+            nb = self.outside[b].keys()
             if len(nb) <= 2 and nb <= bag:
                 b_set.add(b)
                 if self.adhesion[b] == 2:
@@ -446,12 +533,23 @@ class _TreePass:
         zero = max((max(s.adhesion, s.tor1) for s in per.values()), default=0)
         return WidthReport(width=width, slim_width=slim, zero_width=zero, per_node=per)
 
-    def within(self, w: int, s: int) -> bool:
+    def widths(self) -> tuple[int, int]:
+        """report().width and report().slim_width, with no NodeStats built."""
+        width = slim = 0
+        for t in self.nodes:
+            tor, tor2, _ = self.centers(t)
+            adh = self.adhesion[t]
+            width, slim = max(width, adh, tor), max(slim, adh, tor2)
+        return width, slim
+
+    def within(self, w: int, s: int, nodes: list[int] | None = None) -> bool:
         """report().width <= w and report().slim_width <= s, stopping at
         the first node that breaks either. tor <= tor2, so level 3 is
-        peeled only where tor2 exceeds w."""
+        peeled only where tor2 exceeds w. Given nodes, only those are
+        checked: enough after a move from a state within the pair, which
+        changes no adhesion or torso elsewhere."""
         fits = min(w, s)
-        for t in self.nodes:
+        for t in self.nodes if nodes is None else nodes:
             if self.adhesion[t] > fits:
                 return False
             tables = self._tables(t, fits)
@@ -492,7 +590,7 @@ class _TreePass:
             p = self.parent[t]
             if p is None or self.adhesion[t] != 2:
                 continue
-            nb = self.outside[t]
+            nb = self.outside[t].keys()
             if not (len(nb) <= 2 and nb <= self.d.bags[p]):
                 continue
             yt = self.ys[t]

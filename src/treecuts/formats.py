@@ -78,16 +78,27 @@ def write_edge_list(g: MultiGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_list(items: list[str], pad: str) -> str:
+    """A JSON list of already-written items, laid out as
+    json.dumps(indent=2) lays it out on a line indented by pad."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
 def decomposition_to_json(d: TreeCutDecomposition) -> str:
-    nodes = [
-        {
-            "id": t,
-            "parent": d.parent[t],
-            "bag": sorted(d.bags[t]),
-        }
-        for t in d.nodes()
-    ]
-    return json.dumps({"root": d.root, "nodes": nodes}, indent=2) + "\n"
+    """The bytes of json.dumps(indent=2) of {"root", "nodes": [{"id",
+    "parent", "bag"}]}, written without the generic encoder."""
+    nodes = []
+    for t in d.nodes():
+        p = d.parent[t]
+        bag = _json_list([str(v) for v in sorted(d.bags[t])], "      ")
+        nodes.append(
+            f'{{\n      "id": {t},\n      "parent": {"null" if p is None else p},'
+            f'\n      "bag": {bag}\n    }}'
+        )
+    return f'{{\n  "root": {d.root},\n  "nodes": {_json_list(nodes, "  ")}\n}}\n'
 
 
 def parse_decomposition_json(text: str) -> TreeCutDecomposition:
@@ -120,19 +131,28 @@ def parse_decomposition_json(text: str) -> TreeCutDecomposition:
 
 
 def witness_to_json(w: SpanningWitness) -> str:
-    edges = []
+    """The bytes of json.dumps(indent=2) of {"graph_vertices",
+    "ghost_vertices", "edges": [{"u", "v", "ghost"}], "tree_edges":
+    [[u, v]]}, written without the generic encoder."""
+    rows = []
     for u, v, m in w.host.edge_pairs():
         base = w.base_graph.multiplicity(u, v)
-        edges.extend([{"u": u, "v": v, "ghost": False}] * base)
-        edges.extend([{"u": u, "v": v, "ghost": True}] * (m - base))
-    edges.sort(key=lambda e: (e["u"], e["v"], e["ghost"]))
-    obj = {
-        "graph_vertices": sorted(w.base_graph.vertices()),
-        "ghost_vertices": sorted(w.ghost_vertices()),
-        "edges": edges,
-        "tree_edges": sorted([u, v] for u, v in w.forest),
-    }
-    return json.dumps(obj, indent=2) + "\n"
+        rows += [(u, v, False)] * base + [(u, v, True)] * (m - base)
+    rows.sort()
+    edges = [
+        f'{{\n      "u": {u},\n      "v": {v},'
+        f'\n      "ghost": {"true" if ghost else "false"}\n    }}'
+        for u, v, ghost in rows
+    ]
+    tree = [_json_list([str(u), str(v)], "    ") for u, v in sorted(w.forest)]
+    real = [str(v) for v in sorted(w.base_graph.vertices())]
+    ghosts = [str(v) for v in sorted(w.ghost_vertices())]
+    return (
+        f'{{\n  "graph_vertices": {_json_list(real, "  ")},'
+        f'\n  "ghost_vertices": {_json_list(ghosts, "  ")},'
+        f'\n  "edges": {_json_list(edges, "  ")},'
+        f'\n  "tree_edges": {_json_list(tree, "  ")}\n}}\n'
+    )
 
 
 def parse_witness_json(text: str) -> SpanningWitness:

@@ -16,8 +16,6 @@ from .decomposition import (
     TreeCutDecomposition,
     _TreePass,
     is_nice,
-    is_very_nice,
-    width_report,
 )
 from .ecw import SpanningWitness, _forest_paths, validate_witness
 from .multigraph import MultiGraph, _norm
@@ -38,7 +36,7 @@ def _moves_for(tp: _TreePass, t: int) -> Iterator[tuple[int, int]]:
     ranked only when the one before it is used up."""
     p = tp.parent[t]
     assert p is not None
-    nyt = tp.outside[t]
+    nyt = tp.outside[t].keys()
     sub_t = tp.subtree(t)
     offenders = [s for s in tp.children[p] if s != t and nyt & tp.ys[s]]
 
@@ -51,7 +49,7 @@ def _moves_for(tp: _TreePass, t: int) -> Iterator[tuple[int, int]]:
         yield (t, q)
     sub_t_nodes = sorted(sub_t, key=deepest_first)
     for s in offenders:
-        nys = tp.outside[s]
+        nys = tp.outside[s].keys()
         ranked = sorted(
             sub_t_nodes, key=lambda q: (not (nys & tp.ys[q]), -tp.depth[q], q)
         )
@@ -74,22 +72,22 @@ def _candidate_moves(tp: _TreePass, bad: list[int]) -> Iterator[tuple[int, int]]
 
 
 def _verified_dfs(
-    d: TreeCutDecomposition, g: MultiGraph, w0: int, s0: int, budget: int
+    tp: _TreePass, w0: int, s0: int, budget: int
 ) -> TreeCutDecomposition | None:
-    """DFS over violation-focused reattachments; every committed move
-    must already satisfy the width pair, which keeps the search cheap
-    but can strand it when a fix needs a temporary excursion."""
-    cur = d.copy()
-    tp = _TreePass(cur, g)
+    """DFS over violation-focused reattachments of tp's decomposition,
+    moving tp along; every committed move must already satisfy the width
+    pair, which keeps the search cheap but can strand it when a fix needs
+    a temporary excursion. Returns tp.d once it is nice, and None, with tp
+    left in some searched state, when the budget runs out first."""
+    cur = tp.d
     bad = tp.not_nice()
     if not bad:
         return cur
     seen = {_state_signature(cur)}
     # iterative, one frame per committed move, so long move sequences
-    # don't hit the recursion limit; a frame's move generator reads the
-    # pass of its own state, and it only advances when cur is back in
-    # that state
-    stack: list[tuple[tuple[int, int | None] | None, Iterator[tuple[int, int]]]] = [
+    # don't hit the recursion limit; a frame's move generator reads tp,
+    # and it only advances when tp is back in that frame's state
+    stack: list[tuple[tuple[int, int] | None, Iterator[tuple[int, int]]]] = [
         (None, _candidate_moves(tp, bad))
     ]
     while stack:
@@ -97,29 +95,29 @@ def _verified_dfs(
         advanced = False
         for node, q in move_iter:  # resumes the frame's generator
             old = cur.parent[node]
-            cur.parent[node] = q
+            cur.parent[node] = q  # only to read the signature
             sig = _state_signature(cur)
+            cur.parent[node] = old
             if sig in seen:
-                cur.parent[node] = old
                 continue
             seen.add(sig)
             budget -= 1
             if budget < 0:
                 return None
-            tp = _TreePass(cur, g)
-            if tp.within(w0, s0):
+            # the frame's state is within the pair, so only the nodes the
+            # move changed need checking
+            if tp.within(w0, s0, tp.move(node, q)):
                 bad = tp.not_nice()
                 if not bad:
                     return cur
                 stack.append(((node, old), _candidate_moves(tp, bad)))
                 advanced = True
                 break
-            cur.parent[node] = old
+            tp.move(node, old)
         if not advanced:
             stack.pop()
             if undo is not None:
-                node, old = undo
-                cur.parent[node] = old
+                tp.move(*undo)
     return None
 
 
@@ -199,6 +197,24 @@ def _relaxed_best_first(
     return None
 
 
+def _nice_pass(d: TreeCutDecomposition, g: MultiGraph) -> _TreePass:
+    """make_nice's search, returning the pass of its output; the pass
+    built over a copy of d is the one the verified DFS moves along."""
+    tp = _TreePass(d.copy(), g)
+    if not tp.not_nice():
+        return tp
+    w0, s0 = tp.widths()
+    n = len(d.parent)
+    if _verified_dfs(tp, w0, s0, 2000 + 40 * n * n) is not None:
+        return tp
+    out = _relaxed_best_first(d, g, w0, s0, 6000 + 60 * n * n)
+    if out is None:
+        raise TransformError(
+            f"no reattachment sequence keeps width {w0} / slim width {s0}"
+        )
+    return _TreePass(out, g)
+
+
 def make_nice(d: TreeCutDecomposition, g: MultiGraph) -> TreeCutDecomposition:
     """Reattach thin nodes until none neighbors a sibling subtree.
 
@@ -209,17 +225,7 @@ def make_nice(d: TreeCutDecomposition, g: MultiGraph) -> TreeCutDecomposition:
     exhausting the caps raises TransformError rather than returning a
     weaker decomposition.
     """
-    rep0 = width_report(d, g)
-    w0, s0 = rep0.width, rep0.slim_width
-    n = len(d.parent)
-    out = _verified_dfs(d, g, w0, s0, 2000 + 40 * n * n)
-    if out is None:
-        out = _relaxed_best_first(d, g, w0, s0, 6000 + 60 * n * n)
-    if out is None:
-        raise TransformError(
-            f"no reattachment sequence keeps width {w0} / slim width {s0}"
-        )
-    return out
+    return _nice_pass(d, g).d
 
 
 def split_decomposables(
@@ -278,14 +284,12 @@ def split_decomposables(
 
 def make_very_nice(d: TreeCutDecomposition, g: MultiGraph) -> TreeCutDecomposition:
     """Nice and free of decomposable nodes, widths never increased."""
-    cur = make_nice(d, g)
-    cap = len(cur.parent) + g.num_vertices() + 16
+    tp = _nice_pass(d, g)
+    cap = len(tp.d.parent) + g.num_vertices() + 16
     for _ in range(cap):
-        if not is_very_nice(cur, g):
-            return cur
-        cur = split_decomposables(cur, g)
-        if is_nice(cur, g):
-            cur = make_nice(cur, g)
+        if not tp.decomposable():  # and nice, as _nice_pass returns it
+            return tp.d
+        tp = _nice_pass(split_decomposables(tp.d, g), g)
     raise TransformError("very nice transformation did not converge")
 
 
@@ -302,7 +306,8 @@ def decomposition_to_witness(
     parent bag reuses its unique cut edge as the connector. For a slim
     width k input the result has edge-cut width at most 3(k+1)^2.
     """
-    nice = make_nice(d, g)
+    tp = _nice_pass(d, g)
+    nice = tp.d
     host = g.copy()
     forest: set[tuple[int, int]] = set()
 
@@ -325,7 +330,6 @@ def decomposition_to_witness(
                 host.add_edge(c, u)
             forest.add(_norm(c, u))
 
-    tp = _TreePass(nice, g)
     # the least edge of g between the bags of each pair of nodes
     least: dict[tuple[int, int], tuple[int, int]] = {}
     for u, v, _ in g.edge_pairs():
@@ -336,7 +340,7 @@ def decomposition_to_witness(
         p = nice.parent[t]
         if p is None:
             continue
-        if tp.adhesion[t] == 1 and tp.outside[t] <= nice.bags[p]:
+        if tp.adhesion[t] == 1 and tp.outside[t].keys() <= nice.bags[p]:
             # the unique cut edge doubles as the connector; its inner
             # endpoint may sit arbitrarily deep below t
             forest.add(tp.crossing(t)[0])

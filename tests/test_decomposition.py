@@ -1,4 +1,6 @@
+import copy
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,24 @@ def dstar_w4():
 def test_validate_accepts_dstar():
     g, d = dstar_w4()
     assert validate(d, g) == []
+
+
+def test_validate_is_linear_on_a_deep_chain():
+    # a walk to the root stops at the first node known to reach it; a
+    # walk all the way up from every node took seconds on this chain
+    n = 5000
+    g = MultiGraph(range(n), [(i, i + 1) for i in range(n - 1)])
+    parent = {i: (i - 1 if i else None) for i in range(n)}
+    bags = {i: {i} for i in range(n)}
+    for order in (range(n), reversed(range(n))):
+        d = TreeCutDecomposition(0, {i: parent[i] for i in order}, bags)
+        t0 = time.perf_counter()
+        assert validate(d, g) == []
+        assert time.perf_counter() - t0 < 0.25
+    cycle = TreeCutDecomposition(0, {**parent, 0: n - 1}, bags)
+    assert validate(cycle, g) == ["root has a parent", "node 0 does not reach the root"]
+    split = TreeCutDecomposition(0, {**parent, n // 2: None}, bags)
+    assert validate(split, g) == [f"node {n // 2} does not reach the root"]
 
 
 def test_validate_rejects_overlap_and_missing():
@@ -274,10 +294,10 @@ def reference_decomposable(d, g):
 
 
 @st.composite
-def decomposed(draw):
+def decomposed(draw, max_n=7):
     """A loopy multigraph and a random valid decomposition of it: sparse
     node ids, any root, chains, empty bags and empty subtrees."""
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, max_n))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     g = MultiGraph(range(n), draw(st.lists(pairs, max_size=14)))
     k = draw(st.integers(1, 8))
@@ -328,3 +348,55 @@ def test_within_matches_report(case):
     for w in range(rep.width - 1, rep.width + 2):
         for s in range(rep.slim_width - 1, rep.slim_width + 2):
             assert tp.within(w, s) == (rep.width <= w and rep.slim_width <= s), (w, s)
+
+
+def pass_fields(tp):
+    """A snapshot of every field a move updates."""
+    return copy.deepcopy({
+        "parent": dict(tp.parent),
+        "children": tp.children,
+        "depth": tp.depth,
+        "order": tp.order,
+        "pos": tp.pos,
+        "size": tp.size,
+        "ys": tp.ys,
+        "adhesion": tp.adhesion,
+        "outside": tp.outside,
+        "links": tp.links,
+        "subtrees": {t: set(tp.subtree(t)) for t in tp.nodes},
+    })
+
+
+@settings(max_examples=300, deadline=None)
+@given(decomposed(max_n=9), st.data())
+def test_move_matches_fresh_pass(case, data):
+    # random reattachments and their undos keep the pass equal to one
+    # built from scratch, and the width check over the nodes a move
+    # returns agrees with the full one
+    g, d = case
+    tp = _TreePass(d.copy(), g)
+    movable = [t for t in tp.nodes if tp.parent[t] is not None]
+    for _ in range(data.draw(st.integers(0, 8)) if movable else 0):
+        t = data.draw(st.sampled_from(movable))
+        inside = tp.subtree(t)
+        before = pass_fields(tp)
+        with pytest.raises(InvalidDecompositionError):
+            tp.move(t, data.draw(st.sampled_from(inside)))
+        assert pass_fields(tp) == before
+        targets = [q for q in tp.nodes if q not in inside]
+        if not targets:
+            continue
+        w, s = tp.widths()
+        w += data.draw(st.integers(0, 1))
+        s += data.draw(st.integers(0, 1))
+        old, q = tp.parent[t], data.draw(st.sampled_from(targets))
+        path = tp.move(t, q)
+        assert tp.d.parent[t] == q
+        fresh = _TreePass(tp.d.copy(), g)
+        assert pass_fields(tp) == pass_fields(fresh)
+        rep = fresh.report()
+        assert tp.widths() == (rep.width, rep.slim_width)
+        assert tp.within(w, s, path) == fresh.within(w, s)
+        if data.draw(st.booleans()):
+            tp.move(t, old)
+            assert pass_fields(tp) == before

@@ -25,7 +25,7 @@ from treecuts.formats import (
     witness_to_json,
     write_edge_list,
 )
-from treecuts.multigraph import MultiGraph
+from treecuts.multigraph import MultiGraph, _norm
 from treecuts.oracle import SizeLimitError
 
 from conftest import graph_key, random_connected_multi
@@ -260,3 +260,59 @@ def test_witness_json_rejects_mistyped_fields(bad):
     obj.update(bad)
     with pytest.raises(ValueError):
         parse_witness_json(json.dumps(obj))
+
+
+def reference_decomposition_json(d):
+    nodes = [
+        {"id": t, "parent": d.parent[t], "bag": sorted(d.bags[t])} for t in d.nodes()
+    ]
+    return json.dumps({"root": d.root, "nodes": nodes}, indent=2) + "\n"
+
+
+def reference_witness_json(w):
+    edges = []
+    for u, v, m in w.host.edge_pairs():
+        base = w.base_graph.multiplicity(u, v)
+        edges.extend([{"u": u, "v": v, "ghost": False}] * base)
+        edges.extend([{"u": u, "v": v, "ghost": True}] * (m - base))
+    edges.sort(key=lambda e: (e["u"], e["v"], e["ghost"]))
+    obj = {
+        "graph_vertices": sorted(w.base_graph.vertices()),
+        "ghost_vertices": sorted(w.ghost_vertices()),
+        "edges": edges,
+        "tree_edges": sorted([u, v] for u, v in w.forest),
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+vertex_ids = st.integers(0, 12) | st.integers(0, 10**12)
+
+
+@st.composite
+def serialized(draw):
+    """A decomposition and a witness, neither of them valid as a rule:
+    empty bags and node lists, null parents, ghost vertices, ghost edge
+    copies beside real ones, loops and an arbitrary forest."""
+    ids = draw(st.lists(vertex_ids, max_size=6, unique=True))
+    parents = draw(st.lists(st.none() | st.sampled_from(ids or [0]), min_size=len(ids), max_size=len(ids)))
+    bags = draw(st.lists(st.sets(vertex_ids, max_size=4), min_size=len(ids), max_size=len(ids)))
+    d = TreeCutDecomposition(draw(vertex_ids), dict(zip(ids, parents)), dict(zip(ids, bags)))
+    vs = draw(st.lists(vertex_ids, max_size=8, unique=True))
+    real = vs[: draw(st.integers(0, len(vs)))]  # the rest are ghosts
+    base, host = MultiGraph(real), MultiGraph(vs)
+    ends = st.integers(0, max(len(vs) - 1, 0))
+    edges = draw(st.lists(st.tuples(ends, ends, st.booleans()), max_size=10)) if vs else []
+    for i, j, ghost in edges:
+        if not ghost and i < len(real) and j < len(real):
+            base.add_edge(vs[i], vs[j])
+        host.add_edge(vs[i], vs[j])
+    forest = frozenset(_norm(vs[i], vs[j]) for i, j, _ in edges[: draw(st.integers(0, 4))])
+    return d, SpanningWitness(base, host, forest)
+
+
+@given(serialized())
+@settings(max_examples=100, deadline=None)
+def test_json_writers_match_generic_encoder(case):
+    d, w = case
+    assert decomposition_to_json(d) == reference_decomposition_json(d)
+    assert witness_to_json(w) == reference_witness_json(w)

@@ -5,6 +5,7 @@ import pytest
 
 from treecuts.decomposition import (
     TreeCutDecomposition,
+    _TreePass,
     decomposable_nodes,
     is_nice,
     is_very_nice,
@@ -291,22 +292,28 @@ DFS_STATES = {
 
 
 @pytest.mark.parametrize("index", sorted(DFS_STATES))
-def test_verified_dfs_state_sequence_pinned(index, monkeypatch):
+def test_verified_dfs_state_sequence_pinned(index):
     # the same states in the same order: a search that reaches the same
     # tree along another path evaluates other states, and one that takes
     # a longer path needs a larger budget
     g, d = midsize_sources()[index]
     rep = width_report(d, g)
     states, digest = DFS_STATES[index]
-    assert _verified_dfs(d, g, rep.width, rep.slim_width, states - 1) is None
+    assert _verified_dfs(_TreePass(d.copy(), g), rep.width, rep.slim_width, states - 1) is None
     visited = []
 
-    class Recording(transform._TreePass):
+    class Recording(_TreePass):
+        # the DFS moves one pass along and checks each state it evaluates
+        # with one within call; the input's state is recorded when the
+        # pass is built
         def __init__(self, dec, graph):
             visited.append(transform._state_signature(dec))
             super().__init__(dec, graph)
 
-    monkeypatch.setattr(transform, "_TreePass", Recording)
-    assert _verified_dfs(d, g, rep.width, rep.slim_width, states) is not None
+        def within(self, w, s, nodes=None):
+            visited.append(transform._state_signature(self.d))
+            return super().within(w, s, nodes)
+
+    assert _verified_dfs(Recording(d.copy(), g), rep.width, rep.slim_width, states) is not None
     assert len(visited) == states + 1  # the input's own pass comes first
     assert hashlib.sha256(repr(visited).encode()).hexdigest()[:16] == digest
