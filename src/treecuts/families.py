@@ -15,13 +15,8 @@ def windmill(r: int) -> MultiGraph:
     """W_r: r triangles sharing center 0; 2r+1 vertices, 3r edges."""
     if r < 1:
         raise ValueError("windmill needs r >= 1")
-    g = MultiGraph([0])
-    for i in range(r):
-        a, b = 2 * i + 1, 2 * i + 2
-        g.add_edge(0, a)
-        g.add_edge(0, b)
-        g.add_edge(a, b)
-    return g
+    blades = [e for a in range(1, 2 * r, 2) for e in ((0, a), (0, a + 1), (a, a + 1))]
+    return MultiGraph([0], blades)
 
 
 def wall(r: int) -> MultiGraph:
@@ -33,15 +28,9 @@ def wall(r: int) -> MultiGraph:
     """
     if r < 2:
         raise ValueError("wall needs r >= 2")
-    g = MultiGraph(range(r * r))
-    for i in range(r):
-        for j in range(r - 1):
-            g.add_edge(i * r + j, i * r + j + 1)
-    for i in range(r - 1):
-        for j in range(r):
-            if (i + j) % 2 == 0:
-                g.add_edge(i * r + j, (i + 1) * r + j)
-    return g
+    rows = [(i * r + j, i * r + j + 1) for i in range(r) for j in range(r - 1)]
+    cols = [(i * r + j, (i + 1) * r + j) for i in range(r - 1) for j in range(i % 2, r, 2)]
+    return MultiGraph(range(r * r), rows + cols)
 
 
 def ladder(rungs: int) -> MultiGraph:
@@ -52,16 +41,11 @@ def ladder(rungs: int) -> MultiGraph:
     """
     if rungs < 2:
         raise ValueError("ladder needs at least 2 rungs")
-    g = MultiGraph(range(2 * rungs))
-    tree = []
-    for i in range(rungs - 1):
-        g.add_edge(i, i + 1)
-        tree.append((i, i + 1))
-        g.add_edge(rungs + i, rungs + i + 1)
-    for i in range(rungs):
-        g.add_edge(i, rungs + i)
-        tree.append((i, rungs + i))
-    g.meta["spanning_tree"] = tree
+    # rail edges alternate top, bottom, so the top rail is every second one
+    rails = [e for i in range(rungs - 1) for e in ((i, i + 1), (rungs + i, rungs + i + 1))]
+    steps = [(i, rungs + i) for i in range(rungs)]
+    g = MultiGraph(range(2 * rungs), rails + steps)
+    g.meta["spanning_tree"] = rails[::2] + steps
     return g
 
 

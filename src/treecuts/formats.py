@@ -6,6 +6,7 @@ followed by a serialize reproduces the emitted artifact byte for byte.
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from .decomposition import TreeCutDecomposition
 from .ecw import SpanningWitness
@@ -48,7 +49,7 @@ def parse_edge_list(text: str) -> MultiGraph:
         )
     if len(rows) - 1 != m:
         raise ValueError(f"header promises {m} edges, found {len(rows) - 1}")
-    g = MultiGraph(range(n))
+    counts: Counter = Counter()
     for lineno, line in rows[1:]:
         fields = line.split()
         if len(fields) != 2:
@@ -59,8 +60,8 @@ def parse_edge_list(text: str) -> MultiGraph:
             raise ValueError(f"line {lineno}: expected 'u v'") from None
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"line {lineno}: vertex out of range [0, {n})")
-        g.add_edge(u, v)
-    return g
+        counts[_norm(u, v)] += 1
+    return MultiGraph._from_counts(range(n), counts)
 
 
 def write_edge_list(g: MultiGraph) -> str:
@@ -171,27 +172,32 @@ def parse_witness_json(text: str) -> SpanningWitness:
         raise ValueError("edges and tree edges must be lists")
     if set(gv) & set(hv):
         raise ValueError("a vertex cannot be both real and ghost")
-    base = MultiGraph(gv)
-    host = MultiGraph(list(gv) + list(hv))
+    for v in gv + hv:
+        if v < 0:
+            raise ValueError(f"vertex ids must be non-negative, got {v}")
+    real, known = set(gv), set(gv + hv)
+    base_counts, host_counts = Counter(), Counter()
     for e in obj["edges"]:
         if not isinstance(e, dict) or not {"u", "v", "ghost"} <= set(e):
             raise ValueError('each edge needs "u", "v" and "ghost"')
         u, v, ghost = e["u"], e["v"], e["ghost"]
         if not (_is_id(u) and _is_id(v)):
             raise ValueError(f"edge ends must be integers, not ({u!r},{v!r})")
-        if not host.has_vertex(u) or not host.has_vertex(v):
+        if u not in known or v not in known:
             raise ValueError(f"edge ({u},{v}) uses an unknown vertex")
         if not ghost:
-            if not (base.has_vertex(u) and base.has_vertex(v)):
+            if not (u in real and v in real):
                 raise ValueError(f"non-ghost edge ({u},{v}) touches a ghost vertex")
-            base.add_edge(u, v)
-        host.add_edge(u, v)
+            base_counts[_norm(u, v)] += 1
+        host_counts[_norm(u, v)] += 1
     forest = set()
     for pair in obj["tree_edges"]:
         if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_id, pair))):
             raise ValueError("tree edges must be [u, v] pairs of integers")
         u, v = pair
         forest.add(_norm(u, v))
+    base = MultiGraph._from_counts(gv, base_counts)
+    host = MultiGraph._from_counts(gv + hv, host_counts)
     return SpanningWitness(base, host, frozenset(forest))
 
 

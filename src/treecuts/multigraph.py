@@ -17,50 +17,69 @@ def _norm(u: int, v: int) -> tuple[int, int]:
 class MultiGraph:
     """Adjacency-map multigraph over integer vertex ids.
 
-    Parallel edges are tracked by multiplicity; a self-loop counts as one
-    edge but contributes 2 to the degree of its vertex. Vertex ids are
-    arbitrary non-negative integers tracked in an explicit live-set, so
-    deletion does not force renumbering.
+    The adjacency is a plain dict of dicts: ``_adj[u][v]`` is the number of
+    (u, v) edge copies, stored under both ends, and a zero count is never
+    stored. A self-loop counts as one edge but contributes 2 to the degree
+    of its vertex. Vertex ids are arbitrary non-negative integers tracked in
+    an explicit live-set, so deletion does not force renumbering.
+    ``edge_pairs()`` reads a sorted snapshot, built on first use and rebuilt
+    after any edge mutation (a new isolated vertex leaves it valid); it is
+    never changed in place, so copies may share it.
     """
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
-        self._adj: dict[int, Counter] = {}
+        self._adj: dict[int, dict[int, int]] = {}
         self._num_edges = 0
+        self._pairs: list[tuple[int, int, int]] | None = None
         self.meta: dict = {}
         for v in vertices:
             self.add_vertex(v)
         for u, v in edges:
             self.add_edge(u, v)
 
+    @classmethod
+    def _from_counts(cls, vertices: Iterable[int], counts: dict) -> "MultiGraph":
+        """Bulk construction from vertices, already checked non-negative,
+        and a positive copy count per (min, max) pair; no per-edge checks."""
+        g = cls()
+        g._adj = {v: {} for v in vertices}
+        for (u, v), m in counts.items():
+            g._adj[u][v] = g._adj[v][u] = m
+        g._num_edges = sum(counts.values())
+        return g
+
     # construction
 
     def add_vertex(self, v: int) -> None:
         if v < 0:
             raise ValueError(f"vertex ids must be non-negative, got {v}")
-        self._adj.setdefault(v, Counter())
+        if v not in self._adj:
+            self._adj[v] = {}
 
     def add_edge(self, u: int, v: int, count: int = 1) -> None:
         if count < 1:
             raise ValueError("count must be positive")
         self.add_vertex(u)
         self.add_vertex(v)
-        self._adj[u][v] += count
+        self._adj[u][v] = self._adj[u].get(v, 0) + count
         if u != v:
-            self._adj[v][u] += count
+            self._adj[v][u] = self._adj[v].get(u, 0) + count
         self._num_edges += count
+        self._pairs = None
 
     def remove_edge(self, u: int, v: int, count: int = 1) -> None:
-        have = self._adj.get(u, Counter())[v]
+        if count < 1:
+            raise ValueError("count must be positive")
+        have = self.multiplicity(u, v)
         if have < count:
             raise ValueError(f"no edge ({u},{v}) to remove")
-        self._adj[u][v] -= count
-        if self._adj[u][v] == 0:
-            del self._adj[u][v]
-        if u != v:
-            self._adj[v][u] -= count
-            if self._adj[v][u] == 0:
-                del self._adj[v][u]
+        for a, b in {(u, v), (v, u)}:
+            if have == count:
+                del self._adj[a][b]
+            else:
+                self._adj[a][b] = have - count
         self._num_edges -= count
+        self._pairs = None
 
     def remove_vertex(self, v: int) -> None:
         if v not in self._adj:
@@ -88,58 +107,51 @@ class MultiGraph:
 
     def multiplicity(self, u: int, v: int) -> int:
         adj = self._adj.get(u)
-        return 0 if adj is None else adj[v]
+        return 0 if adj is None else adj.get(v, 0)
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.multiplicity(u, v) > 0
 
     def degree(self, v: int) -> int:
         adj = self._adj[v]
-        # the loop entry appears once in the Counter but counts twice
-        return sum(adj.values()) + adj[v]
+        # the loop entry appears once in the map but counts twice
+        return sum(adj.values()) + adj.get(v, 0)
 
     def neighbors(self, v: int) -> set[int]:
         return {w for w in self._adj[v] if w != v}
 
     def loops(self, v: int) -> int:
-        return self._adj[v][v]
+        return self._adj[v].get(v, 0)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Every edge copy once, endpoints normalized as (min, max)."""
-        for u in sorted(self._adj):
-            for v in sorted(self._adj[u]):
-                if v < u:
-                    continue
-                for _ in range(self._adj[u][v]):
-                    yield (u, v)
+        for u, v, m in self.edge_pairs():
+            for _ in range(m):
+                yield (u, v)
 
     def edge_pairs(self) -> Iterator[tuple[int, int, int]]:
-        """Distinct endpoint pairs with multiplicity: (u, v, m), u <= v."""
-        for u in sorted(self._adj):
-            for v in sorted(self._adj[u]):
-                if u <= v:
-                    yield (u, v, self._adj[u][v])
+        """Distinct endpoint pairs with multiplicity: (u, v, m), u <= v,
+        in ascending order, read from the cached snapshot."""
+        if self._pairs is None:
+            adj = self._adj
+            self._pairs = [
+                (u, v, m) for u in sorted(adj) for v, m in sorted(adj[u].items()) if u <= v
+            ]
+        return iter(self._pairs)
 
     def copy(self) -> "MultiGraph":
         g = MultiGraph()
-        for v in self._adj:
-            g.add_vertex(v)
-        for u, v, m in self.edge_pairs():
-            g.add_edge(u, v, m)
-        g.meta = dict(self.meta)
+        g._adj = {v: nbrs.copy() for v, nbrs in self._adj.items()}
+        g._num_edges, g._pairs, g.meta = self._num_edges, self._pairs, dict(self.meta)
         return g
 
     def induced(self, keep: Iterable[int]) -> "MultiGraph":
         keep = set(keep)
-        g = MultiGraph()
         for v in keep:
             if v not in self._adj:
                 raise ValueError(f"no vertex {v}")
-            g.add_vertex(v)
-        for u, v, m in self.edge_pairs():
-            if u in keep and v in keep:
-                g.add_edge(u, v, m)
-        return g
+        pairs = {(u, v): m for u, v, m in self.edge_pairs() if u in keep and v in keep}
+        return MultiGraph._from_counts(keep, pairs)
 
     def components(self) -> list[set[int]]:
         seen: set[int] = set()
@@ -283,20 +295,13 @@ def edge_sum(
         raise ValueError("pi does not match the edge slots at v2")
 
     offset = max(g1.vertices(), default=-1) + 1
-    out = MultiGraph()
-    for v in g1.vertices():
-        if v != v1:
-            out.add_vertex(v)
-    for v in g2.vertices():
-        if v != v2:
-            out.add_vertex(v + offset)
-    for u, v, m in g1.edge_pairs():
-        if v1 not in (u, v):
-            out.add_edge(u, v, m)
-    for u, v, m in g2.edge_pairs():
-        if v2 not in (u, v):
-            out.add_edge(u + offset, v + offset, m)
-    for a, b in pi:
-        out.add_edge(a, b + offset)
+    counts = Counter({(u, v): m for u, v, m in g1.edge_pairs() if v1 not in (u, v)})
+    counts.update(
+        {(u + offset, v + offset): m for u, v, m in g2.edge_pairs() if v2 not in (u, v)}
+    )
+    counts.update((a, b + offset) for a, b in pi)
+    keep = [v for v in g1.vertices() if v != v1]
+    keep += [v + offset for v in g2.vertices() if v != v2]
+    out = MultiGraph._from_counts(keep, counts)
     out.meta["offset"] = offset
     return out

@@ -1,13 +1,15 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treecuts.multigraph import (
     DeleteEdge,
     DeleteVertex,
     Lift,
     MultiGraph,
+    _norm,
     apply_immersion,
     edge_sum,
     max_degree,
@@ -67,6 +69,16 @@ def test_remove_edge_and_vertex():
     assert g.num_edges() == 0
     with pytest.raises(ValueError):
         g.remove_edge(0, 2)
+
+
+def test_remove_edge_rejects_counts_below_one():
+    g = MultiGraph(range(3), [(0, 1)])
+    with pytest.raises(ValueError):
+        g.remove_edge(0, 1, -2)
+    with pytest.raises(ValueError):
+        g.remove_edge(1, 2, 0)
+    assert list(g.edge_pairs()) == [(0, 1, 1)]
+    assert g.num_edges() == 1
 
 
 def test_cut_size_and_neighborhood():
@@ -195,3 +207,141 @@ def test_max_degree():
     g = MultiGraph(range(2), [(0, 1), (0, 1)])
     g.add_edge(0, 0)
     assert max_degree(g) == 4
+
+
+def _rebuilt(verts, counts) -> MultiGraph:
+    """The graph of a model (vertex set, copies per (min, max) pair),
+    built one add_edge at a time."""
+    g = MultiGraph(sorted(verts))
+    for (u, v), m in sorted(counts.items()):
+        for _ in range(m):
+            g.add_edge(u, v)
+    return g
+
+
+def _assert_same(g: MultiGraph, ref: MultiGraph) -> None:
+    assert list(g.edge_pairs()) == list(ref.edge_pairs())
+    assert list(g.edges()) == list(ref.edges())
+    assert g.num_edges() == ref.num_edges()
+    assert g == ref
+    vs = ref.sorted_vertices()
+    assert g.sorted_vertices() == vs
+    assert [g.degree(v) for v in vs] == [ref.degree(v) for v in vs]
+    assert all(g.multiplicity(u, v) == ref.multiplicity(u, v) for u in vs for v in vs)
+    assert sorted(map(sorted, g.components())) == sorted(map(sorted, ref.components()))
+
+
+GRAPH_OPS = st.tuples(
+    st.sampled_from(
+        ["add_vertex", "add_edge", "remove_edge", "remove_vertex",
+         "delete_edge", "delete_vertex", "lift", "edge_sum"]
+    ),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.integers(-2, 3),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=10),
+    st.lists(GRAPH_OPS, max_size=25),
+    st.integers(0, 63),
+)
+def test_cached_pairs_and_bulk_paths_match_rebuilt_graphs(start, ops, mask):
+    """Every step is checked against a plain model and the graph rebuilt
+    from it with add_edge; invalid steps must raise and change nothing."""
+    g = MultiGraph(range(4), start)
+    verts, counts = set(range(4)), Counter(_norm(u, v) for u, v in start)
+    for kind, a, b, c, k, flag, aim in ops:
+        pairs = sorted(+counts)
+        if aim and pairs:
+            # point a, b at an existing edge and c at a neighbour of b
+            a, b = pairs[a % len(pairs)]
+            ends = [u + v - b for u, v in pairs if b in (u, v) and u != v]
+            c = ends[c % len(ends)] if ends else c
+        ab = _norm(a, b)
+        before = list(g.edge_pairs())
+        started = g.edge_pairs()
+        next(started, None)
+        untouched = g.copy()
+        if kind == "add_vertex":
+            ok, run = True, lambda: g.add_vertex(a)
+            verts.add(a)
+        elif kind == "add_edge":
+            ok, run = k >= 1, lambda: g.add_edge(a, b, k)
+            if ok:
+                verts |= {a, b}
+                counts[ab] += k
+        elif kind == "remove_edge":
+            ok, run = 1 <= k <= counts[ab], lambda: g.remove_edge(a, b, k)
+            if ok:
+                counts[ab] -= k
+        elif kind in ("remove_vertex", "delete_vertex"):
+            strict = kind == "delete_vertex" and flag
+            degree = sum(m * ((a == u) + (a == v)) for (u, v), m in counts.items())
+            ok = a in verts and not (strict and degree)
+            if kind == "remove_vertex":
+                run = lambda: g.remove_vertex(a)
+            else:
+                run = lambda: apply_immersion(g, DeleteVertex(a, strict))
+            if ok:
+                verts.discard(a)
+                counts = Counter({p: m for p, m in counts.items() if a not in p})
+        elif kind == "delete_edge":
+            ok, run = counts[ab] > 0, lambda: apply_immersion(g, DeleteEdge(a, b))
+            if ok:
+                counts[ab] -= 1
+        elif kind == "lift":
+            bc, ac = _norm(b, c), _norm(a, c)
+            ok = len({a, b, c}) == 3 and counts[ab] > 0 and counts[bc] > 0
+            run = lambda: apply_immersion(g, Lift(a, b, c, flag))
+            if ok:
+                counts[ab] -= 1
+                counts[bc] -= 1
+                if flag or not counts[ac]:
+                    counts[ac] += 1
+        else:
+            # the k-edge sum of g with itself at a, each slot paired with its twin
+            if len(verts) > 8:
+                continue
+            # one slot per edge copy at a, named by its other end
+            slots = sorted(
+                u + v - a
+                for (u, v), m in counts.items()
+                if a in (u, v) and u != v
+                for _ in range(m)
+            )
+            ok = a in verts and not counts[(a, a)]
+            run = lambda: edge_sum(g, a, g, a, [(w, w) for w in slots])
+            if ok:
+                off = max(verts) + 1
+                rest = Counter({p: m for p, m in counts.items() if a not in p})
+                counts = rest + Counter({(u + off, v + off): m for (u, v), m in rest.items()})
+                counts.update((w, w + off) for w in slots)
+                verts = (verts - {a}) | {v + off for v in verts - {a}}
+        if ok:
+            g = run() or g
+        else:
+            with pytest.raises(ValueError):
+                run()
+        counts = +counts
+        # a started iteration and an earlier copy keep the old snapshot
+        assert before[:1] + list(started) == before
+        assert list(untouched.edge_pairs()) == before
+        ref = _rebuilt(verts, counts)
+        assert list(ref.edge_pairs()) == sorted((u, v, m) for (u, v), m in counts.items())
+        _assert_same(g, ref)
+        _assert_same(g.copy(), ref)
+        keep = {v for v in verts if mask >> (v % 6) & 1}
+        inside = {p: m for p, m in counts.items() if set(p) <= keep}
+        _assert_same(g.induced(keep), _rebuilt(keep, inside))
+        # mutating a copy leaves the source alone
+        h = g.copy()
+        h.add_edge(a, b)
+        if h.has_vertex(c):
+            h.remove_vertex(c)
+        _assert_same(g, ref)
