@@ -19,7 +19,7 @@ from .decomposition import (
     width_report,
 )
 from .multigraph import MultiGraph
-from .oracle import exact_width
+from .oracle import _width_at_most
 from .transform import make_very_nice
 
 # returns a decomposition of width <= 2*omega, or None meaning tcw > omega
@@ -32,9 +32,9 @@ class ProviderError(RuntimeError):
 
 def oracle_provider(g: MultiGraph, omega: int) -> TreeCutDecomposition | None:
     """Exact tree-cut width as a (trivially valid) 2-approximation; a None
-    proves tcw(g) > omega."""
-    value, d = exact_width(g, "tcw", max_vertices=9)
-    return d if value <= omega else None
+    proves tcw(g) > omega. No width bound above omega is searched."""
+    found = _width_at_most(g, "tcw", 9, omega)
+    return None if found is None else found[1]
 
 
 class ExternalProvider:

@@ -39,19 +39,30 @@ def exact_width(
     order (bags by size then lexicographic order, child parts
     smallest-first).
     """
+    found = _width_at_most(g, variant, max_vertices, g.num_vertices())
+    if found is None:
+        raise AssertionError("single-node decomposition must succeed at w = n")
+    return found
+
+
+def _width_at_most(
+    g: MultiGraph, variant: str, max_vertices: int, bound: int
+) -> tuple[int, TreeCutDecomposition] | None:
+    """exact_width(g, variant, max_vertices) if its value is at most
+    bound, else None; no width bound above bound is searched."""
     if variant not in VARIANT_LEVEL:
         raise ValueError(f"variant must be one of {sorted(VARIANT_LEVEL)}")
     n = g.num_vertices()
     if n > max_vertices:
         raise SizeLimitError(f"{n} vertices exceed the search limit {max_vertices}")
     if n == 0:
-        return 0, TreeCutDecomposition(0, {0: None}, {0: set()})
+        return (0, TreeCutDecomposition(0, {0: None}, {0: set()})) if bound >= 0 else None
     search = _Search(g, VARIANT_LEVEL[variant])
-    for w in range(1, n + 1):
+    for w in range(1, min(n, bound) + 1):
         plan = search.run(w)
         if plan is not None:
             return w, plan
-    raise AssertionError("single-node decomposition must succeed at w = n")
+    return None
 
 
 class _Search:
@@ -65,16 +76,19 @@ class _Search:
     covering exactly y can use, or infinity; the subtree's top node is
     charged its torso-center size and every node below is checked
     recursively. Adhesion of the top node is the caller's responsibility
-    (the root has adhesion 0 by definition, matching its empty cut).
+    (the root has adhesion 0 by definition, matching its empty cut). The
+    count needs no cap: every empty node has two or more children and
+    every leaf holds a vertex, so a subtree has fewer empty nodes than
+    the vertices it covers.
+
+    _partitions(rest) lists, once per run, every partition of rest into
+    parts within the adhesion bound and of finite cost, so the many
+    (y, bag) pairs that leave the same rest share one list.
     """
 
     def __init__(self, g: MultiGraph, level: int):
         self.vertices = g.sorted_vertices()
         self.level = level
-        # Every empty node has two or more children and every leaf holds
-        # a vertex, so a (sub)tree has fewer empty nodes than leaves, that
-        # is fewer than the vertices it covers: this cap prunes nothing.
-        self.cap = len(self.vertices) - 1
         self.all = (1 << len(self.vertices)) - 1
         self.cut = _cut_table(g)
         self.bags_of: dict[int, list[int]] = {}
@@ -84,7 +98,9 @@ class _Search:
         self.wmax = wmax
         self.memo: dict[int, float] = {}
         self.choice: dict[int, tuple[int, tuple[int, ...]]] = {}
-        if self._min_empties(self.all) > self.cap:
+        self.parts_of: dict[int, list[tuple[tuple[int, ...], float]]] = {}
+        self.active: set[int] = set()  # sets whose _min_empties is running
+        if self._min_empties(self.all) == INF:
             return None
         parent: dict[int, int | None] = {}
         bags: dict[int, set[int]] = {}
@@ -113,15 +129,20 @@ class _Search:
         return self.bags_of[y]
 
     def _pieces(self, remaining: int) -> list[int]:
-        """Subsets of remaining holding its lowest vertex, in the order of
-        counting over the other vertices: ascending as integers."""
-        if remaining not in self.pieces_of:
+        """Subsets of remaining holding its lowest vertex, ascending as
+        integers: the order of counting over the other vertices."""
+        subs = self.pieces_of.get(remaining)
+        if subs is None:
             pivot = remaining & -remaining
             others = remaining ^ pivot
-            self.pieces_of[remaining] = [
-                pivot | s for s in range(others + 1) if s & others == s
-            ]
-        return self.pieces_of[remaining]
+            subs = [pivot | others]
+            s = others
+            while s:  # the submasks of others, descending
+                s = (s - 1) & others
+                subs.append(pivot | s)
+            subs.reverse()
+            self.pieces_of[remaining] = subs
+        return subs
 
     def _torso_ok(self, y: int, x: int, parts: tuple[int, ...]) -> bool:
         groups = list(parts)
@@ -136,9 +157,10 @@ class _Search:
     def _min_empties(self, y: int) -> float:
         if y in self.memo:
             return self.memo[y]
-        # in-progress marker; prunes the degenerate partition whose single
-        # part is y itself (only reachable via an empty bag, disallowed anyway)
+        # in-progress marker: the empty bag's partitions of y then lack
+        # the single part y, an empty node with one child, ruled out anyway
         self.memo[y] = INF
+        self.active.add(y)
         best: float = INF
         best_choice = None
         for x in self._bags(y):
@@ -152,9 +174,7 @@ class _Search:
                     best, best_choice = 0, (x, ())
                     break
                 continue
-            for parts, cost in self._partitions(rest, self.cap - own):
-                if not x and len(parts) < 2:
-                    continue
+            for parts, cost in self._partitions(rest):
                 total = own + cost
                 if total < best and self._torso_ok(y, x, parts):
                     best, best_choice = total, (x, parts)
@@ -163,38 +183,59 @@ class _Search:
             if best == 0:
                 break
         self.memo[y] = best
+        self.active.discard(y)
         if best_choice is not None:
             self.choice[y] = best_choice
         return best
 
-    def _partitions(self, rest: int, cap: float):
+    def _partitions(self, rest: int) -> list[tuple[tuple[int, ...], float]]:
         """Partitions of rest whose every part respects the adhesion bound
-        and is itself feasible; yields (parts, summed empty-bag cost)."""
-
-        def grow(remaining: int, acc: tuple, cost: int):
-            if not remaining:
-                yield acc, cost
-                return
-            for part in self._pieces(remaining):
-                if self.cut[part] > self.wmax:
-                    continue
-                c = self._min_empties(part)
-                if cost + c > cap:
-                    continue
-                yield from grow(remaining ^ part, acc + (part,), int(cost + c))
-
-        yield from grow(rest, (), 0)
+        and is itself feasible, as (parts, summed empty-bag cost), parts
+        ascending and partitions in lexicographic order. A list built
+        while _min_empties(rest) runs lacks the part rest and is not kept."""
+        if rest in self.parts_of:
+            return self.parts_of[rest]
+        memo = self.memo
+        out = []
+        for piece in self._pieces(rest):
+            if self.cut[piece] > self.wmax:
+                continue
+            c = memo[piece] if piece in memo else self._min_empties(piece)
+            if c == INF:
+                continue
+            if piece == rest:
+                out.append(((piece,), c))
+                continue
+            tail = self.parts_of.get(rest ^ piece)
+            if tail is None:
+                tail = self._partitions(rest ^ piece)
+            out += [((piece,) + parts, c + cost) for parts, cost in tail]
+        if rest not in self.active:
+            self.parts_of[rest] = out
+        return out
 
 
 def _cut_table(g: MultiGraph) -> list[int]:
     """cut[m] is the number of edge copies leaving the vertex set m, bit i
-    of m standing for the i-th smallest vertex of g."""
-    bit = {v: 1 << i for i, v in enumerate(g.sorted_vertices())}
-    pairs = [(bit[u], bit[v], m) for u, v, m in g.edge_pairs() if u != v]
-    return [
-        sum(m for a, b, m in pairs if bool(s & a) != bool(s & b))
-        for s in range(1 << len(bit))
-    ]
+    of m standing for the i-th smallest vertex of g. Adding vertex v to a
+    set s adds v's degree and takes back twice the copies between v and s."""
+    index = {v: i for i, v in enumerate(g.sorted_vertices())}
+    deg = [0] * len(index)
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in index]
+    for u, v, m in g.edge_pairs():
+        if u != v:
+            a, b = index[u], index[v]
+            deg[a] += m
+            deg[b] += m
+            nbrs[a].append((1 << b, m))
+            nbrs[b].append((1 << a, m))
+    cut = [0] * (1 << len(index))
+    for s in range(1, len(cut)):
+        low = s & -s
+        rest = s ^ low
+        i = low.bit_length() - 1
+        cut[s] = cut[rest] + deg[i] - 2 * sum(m for b, m in nbrs[i] if rest & b)
+    return cut
 
 
 def _center_size(cut: list[int], nbag: int, groups: list[int], level: int) -> int:
@@ -204,6 +245,8 @@ def _center_size(cut: list[int], nbag: int, groups: list[int], level: int) -> in
     cut; edges between groups a and b number (cut a + cut b - cut a|b)/2.
     """
     deg = [cut[a] for a in groups]
+    if not deg or min(deg) >= level:
+        return nbag + len(groups)  # the center removes no group
     if level == 1:
         return _center_kernel(nbag, deg, [], level)
     mult = [

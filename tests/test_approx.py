@@ -19,6 +19,7 @@ from treecuts.decomposition import (
     width_report,
 )
 from treecuts.families import wall, windmill
+from treecuts import oracle
 from treecuts.multigraph import MultiGraph
 from treecuts.oracle import exact_width
 
@@ -144,16 +145,22 @@ def test_external_provider_feeds_pipeline(tmp_path):
     assert r.accepted
 
 
-def test_oracle_provider_width_contract():
+def test_oracle_provider_width_contract(monkeypatch):
+    searched = []  # width bounds tried since the last clear
+    real_run = oracle._Search.run
+    monkeypatch.setattr(oracle._Search, "run", lambda s, w: searched.append(w) or real_run(s, w))
     rng = random.Random(2208)
     for _ in range(12):
         g = random_connected_simple(rng, rng.randint(2, 9))
-        exact = exact_width(g, "tcw", max_vertices=9)[0]
+        exact, want = exact_width(g, "tcw", max_vertices=9)
         for omega in (1, 2, 3):
+            searched.clear()
             d = oracle_provider(g, omega)
             assert (d is None) == (exact > omega)
+            assert max(searched) == min(exact, omega)
             if d is not None:
                 assert width_report(d, g).width <= 2 * omega
+                assert (d.parent, d.bags) == (want.parent, want.bags)
 
 
 def test_provider_width_contract_enforced():

@@ -2,17 +2,21 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treecuts.decomposition import center, consolidate, validate, width_report
 from treecuts.families import star, windmill
 from treecuts.formats import decomposition_to_json
+from treecuts import oracle
 from treecuts.multigraph import MultiGraph
 from treecuts.oracle import (
+    INF,
+    VARIANT_LEVEL,
     SizeLimitError,
     _center_size,
     _cut_table,
+    _Search,
     exact_treewidth,
     exact_width,
 )
@@ -97,12 +101,17 @@ def test_loops_and_parallels():
     assert validate(d, h) == []
 
 
-def test_optimum_needing_an_empty_bag():
+def needs_an_empty_bag():
     # decompositions without empty bags reach only 4 for stcw and tcw0
     # here; the optimum 3 hangs three paths of two bags off an empty root
     g = MultiGraph(range(6), [(0, 4)] * 3 + [(1, 2)] * 2 + [(3, 5)] * 2)
     for u, v in [(1, 3), (2, 3), (2, 4), (3, 4), (4, 4), (5, 5)]:
         g.add_edge(u, v)
+    return g
+
+
+def test_optimum_needing_an_empty_bag():
+    g = needs_an_empty_bag()
     for var, field in (("stcw", "slim_width"), ("tcw0", "zero_width")):
         val, d = exact_width(g, var)
         assert val == 3
@@ -218,6 +227,110 @@ def test_exhaustive_corpus_golden():
     assert h.hexdigest() == EXHAUSTIVE_DIGEST
 
 
+def range_scan_pieces(remaining):
+    """_pieces by its definition: every subset of remaining holding its
+    lowest bit, found by scanning all integers up to the other bits."""
+    pivot = remaining & -remaining
+    others = remaining ^ pivot
+    return [pivot | s for s in range(others + 1) if s & others == s]
+
+
+def test_pieces_match_range_scan_up_to_9_bits():
+    search = _Search(MultiGraph(), 3)
+    for mask in range(1, 1 << 9):
+        assert search._pieces(mask) == range_scan_pieces(mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, (1 << 14) - 1))
+@example((1 << 14) - 1)
+@example(1 << 13)
+def test_pieces_match_range_scan_up_to_14_bits(mask):
+    assert _Search(MultiGraph(), 3)._pieces(mask) == range_scan_pieces(mask)
+
+
+def pair_sum_cut_table(g):
+    """_cut_table by its definition: per subset, the copies of every
+    non-loop pair with exactly one end inside."""
+    bit = {v: 1 << i for i, v in enumerate(g.sorted_vertices())}
+    pairs = [(bit[u], bit[v], m) for u, v, m in g.edge_pairs() if u != v]
+    return [
+        sum(m for a, b, m in pairs if bool(s & a) != bool(s & b))
+        for s in range(1 << len(bit))
+    ]
+
+
+@st.composite
+def labelled_multigraphs(draw):
+    """Up to 8 vertices with gappy labels; uniform edge ends give loops,
+    parallel edges, isolated vertices and several components."""
+    labels = draw(st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True))
+    ends = st.sampled_from(labels)
+    return MultiGraph(labels, draw(st.lists(st.tuples(ends, ends), max_size=16)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_multigraphs())
+def test_cut_table_matches_pair_sum(g):
+    assert _cut_table(g) == pair_sum_cut_table(g)
+
+
+def test_cut_table_fixed_features():
+    # parallel pair 3-7, loops on 7 and 12, component 10-12, isolated 20
+    g = MultiGraph([3, 7, 10, 12, 20], [(3, 7), (3, 7), (7, 7), (10, 12), (12, 12)])
+    cut = _cut_table(g)
+    assert cut == pair_sum_cut_table(g)
+    assert (cut[0b1], cut[0b10], cut[0b11], cut[0b100], cut[0b10000]) == (2, 2, 0, 1, 0)
+    assert _cut_table(MultiGraph()) == [0]
+
+
+def set_partitions(mask):
+    """Every partition of mask's bits, by restricted growth strings; parts
+    come in the order of their lowest bits."""
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    out = []
+
+    def grow(i, blocks):
+        if i == len(bits):
+            out.append(tuple(blocks))
+            return
+        for j in range(len(blocks)):
+            blocks[j] |= bits[i]
+            grow(i + 1, blocks)
+            blocks[j] ^= bits[i]
+        blocks.append(bits[i])
+        grow(i + 1, blocks)
+        blocks.pop()
+
+    grow(0, [])
+    return out
+
+
+def test_stored_partitions_match_brute_force():
+    # every list kept by a run holds exactly the set partitions of its
+    # remainder whose parts fit the bound and have finite cost, in
+    # lexicographic order of the parts
+    graphs = [needs_an_empty_bag()] + exhaustive_corpus()[:10]
+    empty_bag_choices = 0
+    for g in graphs:
+        for var in VARIANTS:
+            value = exact_width(g, var, max_vertices=7)[0]
+            search = _Search(g, VARIANT_LEVEL[var])
+            for w in range(1, value + 1):
+                assert (search.run(w) is None) == (w < value)
+                assert search.parts_of and not search.active
+                for rest, got in search.parts_of.items():
+                    want = sorted(
+                        (parts, sum(search.memo[p] for p in parts))
+                        for parts in set_partitions(rest)
+                        if all(search.cut[p] <= w and search.memo.get(p, INF) < INF
+                               for p in parts)
+                    )
+                    assert got == want, (var, w, rest)
+                empty_bag_choices += sum(x == 0 for x, _ in search.choice.values())
+    assert empty_bag_choices > 0
+
+
 def kernel_and_reference(g, bag, groups, level):
     bit = {v: 1 << i for i, v in enumerate(g.sorted_vertices())}
     masks = [sum(bit[v] for v in grp) for grp in groups]
@@ -248,6 +361,35 @@ def test_center_size_kernel_matches_reference(case):
     for level in (1, 2, 3):
         got, want = kernel_and_reference(g, bag, groups, level)
         assert got == want, (sorted(g.edges()), bag, groups, level)
+
+
+def test_center_size_shortcut_skips_the_kernel(monkeypatch):
+    levels = []  # the level of every kernel call
+    real = oracle._center_kernel
+
+    def spy(nbag, deg, mult, level):
+        levels.append(level)
+        return real(nbag, deg, mult, level)
+
+    monkeypatch.setattr(oracle, "_center_kernel", spy)
+    # no groups: the center is the bag
+    for level in (1, 2, 3):
+        assert kernel_and_reference(cycle(4), set(range(4)), [], level) == (4, 4)
+    # every group at degree >= level: nothing is removed
+    k4 = MultiGraph(range(4), [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    for level in (2, 3):
+        assert kernel_and_reference(k4, {0}, [{1}, {2}, {3}], level) == (4, 4)
+        assert kernel_and_reference(k4, {0}, [{1, 2}, {3}], level) == (3, 3)
+    assert kernel_and_reference(cycle(4), {0}, [{1}, {2}, {3}], 2) == (4, 4)
+    assert levels == []
+    # one group at degree level - 1: the kernel runs
+    g = k4.copy()
+    g.add_edge(4, 1)
+    g.add_edge(4, 2)
+    assert kernel_and_reference(g, {0}, [{1}, {2}, {3}, {4}], 3) == (4, 4)
+    assert kernel_and_reference(path(3), {0}, [{1}, {2}], 2) == (1, 1)
+    assert kernel_and_reference(MultiGraph(range(3), [(0, 1)]), {0}, [{1}, {2}], 1) == (2, 2)
+    assert levels == [3, 2, 1]
 
 
 def test_center_size_kernel_folds_parallel_pair_into_loop():
