@@ -2,12 +2,14 @@
 """Reach table of exact_ecw's two phases.
 
 For each graph, print the edge-cut width found by the charge DP, the
-time of the DP, the time of the branch-and-bound that then looks for the
-lex-least forest reaching that value, and the time of the same search
-with no floor, which has to prove optimality by itself. Wherever the
-search without a floor finishes, its (value, forest) must equal the
-floored one; the script exits 1 otherwise. Each phase is cut after
---limit seconds (SIGALRM, so POSIX only) and then shows as '-'.
+time of the DP, the time of the find phase that then looks for the
+lex-least forest reaching that value (the branch-and-bound, with the DP
+deciding a pair wherever it stalls), the number of DP queries it made,
+and the time of the search with no floor and no DP, which has to prove
+optimality by itself. Wherever the search without a floor finishes, its
+(value, forest) must equal the found one; the script exits 1 otherwise.
+Each phase is cut after --limit seconds (SIGALRM, so POSIX only) and
+then shows as '-'.
 
 The graphs are ladders, walls and seeded random multigraphs: a random
 spanning tree plus n/2 random extra pairs, parallels allowed.
@@ -18,13 +20,13 @@ import signal
 import sys
 import time
 
-from treecuts.chargedp import ecw_floor
+from treecuts.chargedp import ForestOracle
 from treecuts.ecw import _indexed, _least_forest, spanning_tree_count
 from treecuts.families import ladder, wall
 from treecuts.multigraph import MultiGraph
 
 LADDERS = (8, 10, 12, 16, 20, 30, 40, 60, 80)
-WALLS = (3, 4, 5, 6)
+WALLS = (3, 4, 5, 6, 7)
 RANDOM_SIZES = (14, 16, 18, 20, 22, 24, 26, 28, 30)
 
 
@@ -84,16 +86,18 @@ def main() -> int:
     args = ap.parse_args()
     signal.signal(signal.SIGALRM, _alarm)
 
-    print("| graph | n | copies | spanning trees | ecw | DP s | find s "
+    print("| graph | n | copies | spanning trees | ecw | DP s | find s | DP queries "
           "| search without floor s | same forest |")
-    print("|---|---|---|---|---|---|---|---|---|")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     failed = False
     for name, g in graphs(args.seed):
         _, loops, pairs = _indexed(g)
-        floor, dp_s = timed(args.limit, ecw_floor, loops, pairs)
-        found, find_s = (None, None)
-        if floor is not None:
-            found, find_s = timed(args.limit, _least_forest, loops, pairs, floor)
+        oracle, dp_s = timed(args.limit, ForestOracle, loops, pairs)
+        floor = found = find_s = None
+        if oracle is not None:
+            floor = oracle.value
+            found, find_s = timed(args.limit, _least_forest, loops, pairs, floor, oracle)
+        queries = "-" if oracle is None else oracle.queries
         plain, plain_s = timed(args.limit, _least_forest, loops, pairs)
         if found is None or plain is None:
             same = "-"
@@ -103,7 +107,7 @@ def main() -> int:
         value = found[0] if found else (floor if floor is not None else "-")
         print(f"| {name} | {g.num_vertices()} | {g.num_edges()} "
               f"| {spanning_tree_count(g)} | {value} | {secs(dp_s)} "
-              f"| {secs(find_s)} | {secs(plain_s)} | {same} |", flush=True)
+              f"| {secs(find_s)} | {queries} | {secs(plain_s)} | {same} |", flush=True)
     return 1 if failed else 0
 
 

@@ -11,9 +11,14 @@ the copies leaving S_x bar the tree edge to x's parent, and the copies
 inside S_x that no child subtree holds whole, bar the tree edges to the
 children. A charge therefore depends only on the vertex sets of a subtree
 and of its child subtrees, which `_ChargeDP` exploits to decide "every
-charge at most K" over connected vertex sets of small cut. `ecw.exact_ecw`
-takes the value from here and searches for the lex-least forest reaching
-it.
+charge at most K" over connected vertex sets of small cut. The same
+decision takes pairs required in the tree or forbidden, and an accepted
+one expands into a tree.
+
+`ForestOracle` runs one DP per component and keeps the tables of the
+optimum. `ecw_floor` is its value. `ecw.exact_ecw` takes the value from
+here and searches for the lex-least forest reaching it; where that
+search stalls, the oracle decides the forest's next pair.
 """
 from __future__ import annotations
 
@@ -24,44 +29,98 @@ def ecw_floor(loops: list[int], pairs: list[tuple[int, int, int]]) -> int:
     """Edge-cut width of the multigraph on vertices 0..n-1; 0 when n is 0.
 
     loops[x] counts the loops at x and pairs are the distinct non-loop
-    pairs (a, b, multiplicity), as `ecw._indexed` gives them. Pendant
-    vertices, those with one distinct loopless neighbour, are peeled
-    first, as in spanning_tree_count: a pendant vertex v with m copies to
-    u is a leaf of every spanning tree, charged m - 1 plus its loops, and
-    its m - 1 spare copies charge u alone, like loops at u. The DP then
-    runs on what is left of each component, from the largest charge the
-    peeling forced.
+    pairs (a, b, multiplicity), as `ecw._indexed` gives them. The value
+    half of `ForestOracle`.
     """
-    n = len(loops)
-    if n == 0:
-        return 0
-    loops = loops[:]
-    adj: dict[int, dict[int, int]] = {v: {} for v in range(n)}
-    for a, b, m in pairs:
-        adj[a][b] = adj[b][a] = m
-    low = 0
-    for v, u, m in _peel_pendants(adj):
-        low = max(low, loops[v] + m - 1)
-        loops[u] += m - 1
-    seen = [False] * n
-    for r in range(n):
-        if seen[r]:
-            continue
-        seen[r] = True
-        if not adj[r]:  # a vertex alone is charged by its loops only
-            low = max(low, loops[r])
-            continue
-        core = [r]
-        for x in core:
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    core.append(y)
-        core.sort()
-        idx = {v: i for i, v in enumerate(core)}
-        mul = [{idx[y]: m for y, m in adj[v].items()} for v in core]
-        low = _ChargeDP(mul, [loops[v] for v in core]).least_bound(low)
-    return low + 1
+    return ForestOracle(loops, pairs).value
+
+
+class ForestOracle:
+    """The optimal spanning forests of a multigraph on vertices 0..n-1,
+    asked about pair by pair.
+
+    loops and pairs are as for `ecw_floor`. Pendant vertices, those with
+    one distinct loopless neighbour, are peeled first, as in
+    spanning_tree_count: a pendant vertex v with m copies to u is a leaf
+    of every spanning tree, charged m - 1 plus its loops, and its m - 1
+    spare copies charge u alone, like loops at u. One `_ChargeDP` then
+    runs on what is left of each component, from the largest charge found
+    so far, and keeps the tables of the bound it accepts. `value` is the
+    edge-cut width, 0 when n is 0.
+
+    include(a, b) decides the pairs of one optimal forest in the order
+    they are asked: it includes (a, b) when an optimal forest holds it,
+    the pairs included so far and none of those excluded, and excludes it
+    otherwise. A witness of the decisions so far is kept, so a pair in it
+    is included with no DP query; `queries` counts the others. Pairs with
+    a peeled end lie in every spanning forest and are always in it.
+    """
+
+    def __init__(self, loops: list[int], pairs: list[tuple[int, int, int]]):
+        n = len(loops)
+        self.queries = 0
+        self.trees: list[set[tuple[int, int]]] | None = None
+        loops = loops[:]
+        adj: dict[int, dict[int, int]] = {v: {} for v in range(n)}
+        for a, b, m in pairs:
+            adj[a][b] = adj[b][a] = m
+        low = 0
+        self.always = set()
+        for v, u, m in _peel_pendants(adj):
+            low = max(low, loops[v] + m - 1)
+            loops[u] += m - 1
+            self.always.add((min(u, v), max(u, v)))
+        # one (core vertices, DP) per component left with a pair
+        self.dps: list[tuple[list[int], _ChargeDP]] = []
+        self.home: dict[int, tuple[int, int]] = {}  # vertex: (dps index, core index)
+        seen = [False] * n
+        for r in range(n):
+            if seen[r]:
+                continue
+            seen[r] = True
+            if not adj[r]:  # a vertex alone is charged by its loops only
+                low = max(low, loops[r])
+                continue
+            core = [r]
+            for x in core:
+                for y in adj[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        core.append(y)
+            core.sort()
+            idx = {v: i for i, v in enumerate(core)}
+            mul = [{idx[y]: m for y, m in adj[v].items()} for v in core]
+            for v, i in idx.items():
+                self.home[v] = len(self.dps), i
+            dp = _ChargeDP(mul, [loops[v] for v in core])
+            low = dp.least_bound(low)
+            self.dps.append((core, dp))
+        self.value = low + 1 if n else 0
+
+    def include(self, a: int, b: int) -> bool:
+        """Whether an optimal forest holds the pair (a, b), a < b, the
+        pairs included so far and none of those excluded; the pair is
+        then included, and excluded otherwise."""
+        if self.trees is None:  # the witness of the accepted bounds
+            self.trees = [self._tree(i) for i in range(len(self.dps))]
+        if (a, b) in self.always:
+            return True
+        at, ia = self.home[a]
+        dp = self.dps[at][1]
+        dp.fix(ia, self.home[b][1], True)
+        if (a, b) in self.trees[at]:
+            return True
+        self.queries += 1
+        if dp.feasible(self.value - 1):
+            self.trees[at] = self._tree(at)
+            return True
+        dp.fix(ia, self.home[b][1], False)
+        return False
+
+    def _tree(self, at: int) -> set[tuple[int, int]]:
+        """The pairs of component at's tree in its DP's last accepted decision."""
+        core, dp = self.dps[at]
+        return {(min(core[x], core[y]), max(core[x], core[y])) for x, y in dp.tree()}
 
 
 def _drive(gen):
@@ -96,10 +155,20 @@ class _ChargeDP:
     on first use. H adds over the components of R and is memoized per
     (x, connected R); the tree is rooted at vertex 0.
 
+    Pairs may be required in the tree or forbidden (`fix`). A child root
+    y of x is then taken from x's allowed neighbours, and a part P hung
+    below x at y is valid only when the required pairs with exactly one
+    end in P are none or exactly {x, y}. That one check also enforces
+    every required pair inside P, since the subtree of P meets the rest
+    of the tree by (x, y) alone. Components and parts keep the full
+    adjacency: a part that the allowed pairs do not connect has no
+    feasible root, and the part lists do not depend on the constraints.
+
     mul[x] maps each neighbour of x to the multiplicity of the pair and
-    loops[x] counts the loops at x. The tables of one K are dropped when
-    its decision returns, and the DP runs through `_drive`, so its depth
-    does not grow with k.
+    loops[x] counts the loops at x. The tables of the last decision are
+    kept, with the (part, root) that set each H entry, so an accepted
+    decision expands into a tree (`tree`). The DP runs through `_drive`,
+    so its depth does not grow with k.
     """
 
     def __init__(self, mul: list[dict[int, int]], loops: list[int]):
@@ -109,6 +178,16 @@ class _ChargeDP:
         self.full = (1 << self.k) - 1
         self.nbr = [sum(1 << y for y in ms) for ms in mul]
         self.deg = [sum(ms.values()) for ms in mul]
+        self.allowed = self.nbr[:]  # neighbours a tree edge may reach
+        self.req = [0] * self.k  # required tree neighbours
+        self.reqv = 0  # the vertices with a required pair
+        self.stale = 0  # vertices fixed since the last decision
+        # the tables of the last decision and the bound they are for
+        self.bound: int | None = None
+        self.parts: dict[int, list[tuple[int, int, int]]] = {}
+        self.h: dict[int, int] = {}
+        self.how: dict[int, tuple[int, int]] = {}
+        self.f: dict[int, bool] = {}
 
     def least_bound(self, low: int) -> int:
         """The least K >= low at which every charge can be at most K.
@@ -129,17 +208,51 @@ class _ChargeDP:
         return bound
 
     def feasible(self, bound: int) -> bool:
-        """Whether every charge can be at most bound; the tables of the
-        decision live only for this call."""
-        self.bound = bound
-        self.parts: dict[int, list[tuple[int, int, int]]] = {}
-        self.h: dict[int, int] = {}
-        self.f: dict[int, bool] = {}
-        try:
-            need = self.edges(self.full) - bound
-            return _drive(self.hsum(0, self.components(self.full & ~1))) >= need
-        finally:
-            del self.parts, self.h, self.f
+        """Whether every charge can be at most bound, under the pairs
+        required and forbidden so far.
+
+        The tables of the last decision are reused at the same bound: an
+        entry whose set and root miss every vertex fixed since then saw
+        no constraint change, and only the others are dropped."""
+        k, stale = self.k, self.stale
+        if bound != self.bound:
+            self.bound = bound
+            self.parts, self.h, self.how, self.f = {}, {}, {}, {}
+        elif stale:
+            self.h = {key: v for key, v in self.h.items() if not (key // k | 1 << key % k) & stale}
+            self.how = {key: v for key, v in self.how.items() if key in self.h}
+            self.f = {key: ok for key, ok in self.f.items() if not key // k & stale}
+        self.stale = 0
+        need = max(0, self.edges(self.full) - bound)  # H = -1 never fits
+        return _drive(self.hsum(0, self.components(self.full & ~1))) >= need
+
+    def fix(self, a: int, b: int, tree: bool) -> None:
+        """Require the pair (a, b) in the tree, or else forbid it, in
+        place of what was fixed for it before."""
+        for x, y in ((a, b), (b, a)):
+            if tree:
+                self.req[x] |= 1 << y
+                self.allowed[x] |= 1 << y
+            else:
+                self.req[x] &= ~(1 << y)
+                self.allowed[x] &= ~(1 << y)
+        self.reqv = sum(1 << x for x, r in enumerate(self.req) if r)
+        self.stale |= 1 << a | 1 << b
+
+    def tree(self) -> list[tuple[int, int]]:
+        """The (parent, child) pairs of a tree the last accepted decision
+        found, rooted at vertex 0."""
+        k = self.k
+        out = []
+        todo = [(0, c) for c in self.components(self.full & ~1)]
+        while todo:
+            x, c = todo.pop()
+            p, y = self.how[c * k + x]
+            out.append((x, y))
+            for top, s in ((x, c & ~p), (y, p & ~(1 << y))):
+                if s:
+                    todo.extend((top, d) for d in self.components(s))
+        return out
 
     def edges(self, s: int) -> int:
         """e(s): the edge copies with both ends in s, loops included."""
@@ -226,7 +339,7 @@ class _ChargeDP:
         is partitioned recursively. Split into j parts, the connected set
         c keeps at least j - 1 copies between parts, so H(x, c) is at most
         e(c) + 1 and reaching that ends the scan."""
-        nx = self.nbr[x]
+        nx = self.allowed[x]
         key = self.k
         best = most = -1
         if c & nx:
@@ -235,10 +348,13 @@ class _ChargeDP:
             sets = self.parts.get(v)
             if sets is None:
                 sets = self.small_cut_sets(v)
+            reqv = self.reqv
             for p, e, cut in sets:
                 if p & ~c or not p & nx:
                     continue
                 ends = p & nx
+                if p & reqv:
+                    ends = self.roots(x, p, ends)
                 while ends:
                     bit = ends & -ends
                     ends ^= bit
@@ -257,18 +373,37 @@ class _ChargeDP:
                         continue
                 if e + 1 + rest > best:
                     best = e + 1 + rest
+                    part, root = p, y
                     if most < 0:
                         most = self.edges(c) + 1
                     if best == most:
                         break
         self.h[c * key + x] = best
+        if best >= 0:
+            self.how[c * key + x] = part, root
         return best
+
+    def roots(self, x: int, p: int, ends: int) -> int:
+        """The roots among ends at which part p may hang below x: a
+        required pair with one end in p must be (x, the root)."""
+        cross = 0
+        rest = p & self.reqv
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out = self.req[low.bit_length() - 1] & ~p
+            if out:
+                if out != 1 << x or cross:
+                    return 0
+                cross = low
+        return ends & cross if cross else ends
 
     def fits(self, s: int, e: int, cut: int, x: int):
         """feasible(s, x) for a part s other than the whole vertex set.
 
         H(x, r) is at most e(r) + #components(r), which settles many
-        parts before any partition of r is tried."""
+        parts before any partition of r is tried; H(x, r) = -1, no valid
+        partition, never fits, whatever the bound."""
         r = s & ~(1 << x)
         inner = sum(m for y, m in self.mul[x].items() if r >> y & 1)
         spare = cut - 1 + self.loops[x] + inner - self.bound
@@ -276,8 +411,9 @@ class _ChargeDP:
             ok = spare <= 0
         else:
             parts = self.components(r)
+            need = cut - 1 + e - self.bound
             ok = len(parts) >= spare and (
-                (yield from self.hsum(x, parts)) >= cut - 1 + e - self.bound
+                (yield from self.hsum(x, parts)) >= (need if need > 0 else 0)
             )
         self.f[s * self.k + x] = ok
         return ok

@@ -10,13 +10,17 @@ exact_ecw runs in two phases. The charge DP of `treecuts.chargedp` finds
 the optimum value. Then the branch-and-bound `_least_forest` walks the
 forests in lexicographic order, looking only for forests of at most that
 value, and stops at the first one it reaches. Being first, it is the
-lex-least optimal forest, the one exact_ecw has always returned. The
-search stays the source of truth: a floor below the optimum costs only
-time, and the DP is checked against brute force and against the search
-without a floor.
+lex-least optimal forest, the one exact_ecw has always returned. Where
+the search stalls, the DP, kept with the tables of the optimum, decides
+the next pair of that forest: it answers whether an optimal forest holds
+the pairs decided in so far, this one too, and none decided out. The
+search then drops whatever the answer rules out, so only the way the
+forest is found changes. The DP is checked against brute force, with
+and without such constraints, and against the search without a floor.
 """
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -253,10 +257,12 @@ def exact_ecw(g: MultiGraph, budget: int = 10**6) -> tuple[int, SpanningWitness]
 
     No ghosts are introduced, so this is ecw(g) exactly. The achieving
     forest is the lexicographically least among the optima. The value
-    comes from the charge DP (`chargedp.ecw_floor`); the branch-and-bound
-    `_least_forest` then searches forests in lexicographic order and
-    stops at the first one that reaches it. The budget caps the spanning
-    forest count of g, whatever the search ends up visiting.
+    comes from the charge DP (`chargedp.ForestOracle`); the
+    branch-and-bound `_least_forest` then searches forests in
+    lexicographic order and stops at the first one that reaches it,
+    asking the DP to decide a pair each time it undoes _UNIONS unions
+    without settling one. The budget caps the spanning forest count of g,
+    whatever the search ends up visiting.
     """
     if g.num_vertices() == 0:
         return 0, SpanningWitness(g.copy(), g.copy(), frozenset())
@@ -266,10 +272,11 @@ def exact_ecw(g: MultiGraph, budget: int = 10**6) -> tuple[int, SpanningWitness]
             f"{count} spanning trees exceed the enumeration budget {budget}"
         )
     # imported on first use: most callers of this module never need the DP
-    from .chargedp import ecw_floor
+    from .chargedp import ForestOracle
 
     vs, loops, pairs = _indexed(g)
-    value, chosen = _least_forest(loops, pairs, ecw_floor(loops, pairs))
+    oracle = ForestOracle(loops, pairs)
+    value, chosen = _least_forest(loops, pairs, oracle.value, oracle)
     forest = frozenset((vs[a], vs[b]) for a, b in chosen)
     return value, SpanningWitness(g.copy(), g.copy(), forest)
 
@@ -290,8 +297,14 @@ def _indexed(g: MultiGraph) -> tuple[list[int], list[int], list[tuple[int, int, 
     return vs, loops, pairs
 
 
+# unions the search may undo, after the last pair it settled, before the
+# oracle decides the next one
+_UNIONS = 200
+
+
 def _least_forest(
-    loops: list[int], pairs: list[tuple[int, int, int]], floor: int | None = None
+    loops: list[int], pairs: list[tuple[int, int, int]], floor: int | None = None,
+    oracle=None,
 ) -> tuple[int, tuple[EdgePair, ...]]:
     """Branch-and-bound behind exact_ecw over vertices 0..n-1.
 
@@ -320,6 +333,20 @@ def _least_forest(
     only when the first forest found lies below it, since the search then
     runs to the end; one that the first forest meets exactly ends the
     search there, so floor must never exceed the optimum.
+
+    oracle, when given, is a `chargedp.ForestOracle` of the same graph and
+    floor is its value. The search below a decided prefix of pairs runs
+    as above and counts the unions it undoes, not those it makes, since a
+    search that never backs up makes n - 1. Once it has undone more than
+    _UNIONS since the prefix last grew, the prefix grows: exclusions the
+    search has
+    proved, by exhausting the inclusion, join it first, and then the
+    oracle decides the first pair the search has included but not
+    settled. A yes settles the inclusion and the search goes on where it
+    was; a no drops everything below the inclusion and excludes the pair.
+    Neither cuts a forest that could come first, so the result is the one
+    the search finds alone; inputs settled within _UNIONS undone unions
+    never ask.
 
     The search keeps its own stack of nodes, so its depth is not bounded
     by the interpreter's recursion limit.
@@ -433,9 +460,13 @@ def _least_forest(
     # forced steps run in place; at a pair that joins two trees the node
     # is pushed with what undoing the inclusion needs, and the included
     # child runs. On return the node tries the excluded child, pushed as
-    # (mark, None), and is then done.
+    # (mark, None), and is then done. Nodes leave the bottom of the
+    # stack, never to be undone, once they are decided: an exclusion the
+    # search proved or an inclusion the oracle confirmed.
     stack: list[tuple] = []
     i, pending, top, mark = 0, [], max(charge), 0
+    undone, limit = 0, _UNIONS if oracle is not None else sys.maxsize
+    cut = sys.maxsize  # the stack depth from which no excluded child is tried
     while True:
         descended = False
         while top + 1 < best:
@@ -479,7 +510,19 @@ def _least_forest(
             descended = True
             break
         if descended:
-            continue
+            if undone <= limit:
+                continue
+            # stalled: the oracle decides the first pair the search has
+            # included but not yet settled
+            undone = 0
+            while stack[0][1] is None:
+                del stack[0]
+            if oracle.include(*stack[0][1][3:5]):
+                del stack[0]
+                continue
+            # no optimal forest lies below that inclusion: back to it,
+            # trying no excluded child on the way, and exclude the pair
+            cut = 1
         undo(mark)
         # back to the nearest node whose excluded child is untried
         while stack:
@@ -488,6 +531,7 @@ def _least_forest(
                 undo(mark)
                 continue
             i, pending, top, a, b, m, ra, rb, bump, ca, moved, inner = state
+            undone += 1
             chosen.pop()
             fadj[a] ^= 1 << b
             fadj[b] ^= 1 << a
@@ -498,7 +542,9 @@ def _least_forest(
                 up[x] = u
                 depth[x] = d
             undo(inner)
-            if joinable(a, b, suf[i]):
+            if joinable(a, b, suf[i]) and len(stack) < cut:
+                if cut == 1:  # the oracle's no settles this pair
+                    cut, undone = sys.maxsize, 0
                 stack.append((mark, None))
                 top = add((a, b), m, top)
                 pending = pending + [(a, b, m)]

@@ -70,7 +70,9 @@ class _Search:
 
     Bit i stands for the i-th smallest vertex. The cut table and the two
     enumeration orders depend only on the graph, so they are built once
-    and shared by every width bound tried; run(w) then searches one bound.
+    and shared by every width bound tried; run(w) then searches one
+    bound, and the bounds go upward. A bag list holds the bags of at most
+    the largest bound searched yet.
 
     _min_empties(y) is the least number of empty bags any valid subtree
     covering exactly y can use, or infinity; the subtree's top node is
@@ -91,7 +93,7 @@ class _Search:
         self.level = level
         self.all = (1 << len(self.vertices)) - 1
         self.cut = _cut_table(g)
-        self.bags_of: dict[int, list[int]] = {}
+        self.bags_of: dict[int, tuple[list[int], list[int]]] = {}  # y: (bits, bags)
         self.pieces_of: dict[int, list[int]] = {}
 
     def run(self, wmax: int) -> TreeCutDecomposition | None:
@@ -120,13 +122,20 @@ class _Search:
         return TreeCutDecomposition(0, parent, bags)
 
     def _bags(self, y: int) -> list[int]:
-        """Subsets of y by size, then lexicographically by sorted vertices."""
-        if y not in self.bags_of:
+        """Subsets of y of at most wmax vertices, by size, then
+        lexicographically by sorted vertices. The center of a torso keeps
+        every bag vertex, so larger bags never fit. Width bounds are
+        searched upward, so a kept list is extended in place."""
+        kept = self.bags_of.get(y)
+        if kept is None:
             bits = [1 << i for i in range(y.bit_length()) if y >> i & 1]
-            self.bags_of[y] = [
-                sum(c) for r in range(len(bits) + 1) for c in combinations(bits, r)
-            ]
-        return self.bags_of[y]
+            kept = self.bags_of[y] = bits, [0]
+        bits, bags = kept
+        have = bags[-1].bit_count()
+        if have < self.wmax and have < len(bits):
+            bags += [sum(c) for r in range(have + 1, self.wmax + 1)
+                     for c in combinations(bits, r)]
+        return bags
 
     def _pieces(self, remaining: int) -> list[int]:
         """Subsets of remaining holding its lowest vertex, ascending as
@@ -164,9 +173,6 @@ class _Search:
         best: float = INF
         best_choice = None
         for x in self._bags(y):
-            if x.bit_count() > self.wmax:
-                # the center keeps every bag vertex, and later bags are no smaller
-                break
             own = 0 if x else 1
             rest = y ^ x
             if not rest:

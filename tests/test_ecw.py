@@ -2,12 +2,14 @@ import hashlib
 import itertools
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecuts.chargedp import ecw_floor
+from treecuts import ecw
+from treecuts.chargedp import ForestOracle, _ChargeDP, ecw_floor
 from treecuts.ecw import (
     BudgetExceededError,
     EdgePair,
@@ -314,6 +316,104 @@ def test_charge_dp_matches_search_past_brute_force():
         g = random_connected_multi(rng, rng.randint(9, 12), rng.randint(5, 9), loops=True)
         _, loops, pairs = _indexed(g)
         assert ecw_floor(loops, pairs) == _least_forest(loops, pairs)[0]
+
+
+@st.composite
+def connected_loopy_multigraphs(draw):
+    """Connected loopy multigraphs on 2..7 vertices: a random tree plus
+    random extra edges, loops and parallel copies allowed."""
+    n = draw(st.integers(2, 7))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    ends = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(ends, ends), max_size=8))
+    return MultiGraph(range(n), edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_loopy_multigraphs(), st.data())
+def test_constrained_charge_dp_matches_brute_force(g, data):
+    # the DP runs on the whole graph, unpeeled; required and forbidden
+    # pairs are fixed one at a time and every decision reuses the tables
+    # of the one before
+    _, loops, pairs = _indexed(g)
+    n = g.num_vertices()
+    mul = [{} for _ in range(n)]
+    for a, b, m in pairs:
+        mul[a][b] = mul[b][a] = m
+    trees = []  # (pair set, max charge) of every spanning tree
+    for tree in itertools.combinations([(a, b) for a, b, _ in pairs], n - 1):
+        if MultiGraph(range(n), tree).is_connected():
+            trees.append((set(tree), max(ecw._charges(g, set(tree)).values())))
+    optimum = min(top for _, top in trees)
+    bound = data.draw(st.integers(optimum - 1, optimum + 2), label="bound")
+    dp = _ChargeDP(mul, loops)
+    fixed: dict[tuple[int, int], bool] = {}
+    steps = data.draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()),
+                               max_size=5), label="fixes")
+    for step in [None] + steps:
+        if step is not None:
+            (a, b, _), required = step
+            fixed[a, b] = required
+            dp.fix(a, b, required)
+        fits = [t for t, top in trees if top <= bound
+                and all((p in t) == want for p, want in fixed.items())]
+        assert dp.feasible(bound) == bool(fits), (fixed, bound)
+        if fits:
+            tree = {(min(x, y), max(x, y)) for x, y in dp.tree()}
+            assert any(tree == t for t in fits)
+
+
+def escalation_corpus() -> list[MultiGraph]:
+    # the graphs of test_charge_dp_matches_search_past_brute_force
+    rng = random.Random(4104)
+    gs = [random_connected_multi(rng, rng.randint(9, 12), rng.randint(5, 9), loops=True)
+          for _ in range(12)]
+    return gs + [wall(5)]
+
+
+class RecordingOracle:
+    """A ForestOracle that keeps the answers it gives."""
+
+    def __init__(self, loops, pairs):
+        self.oracle = ForestOracle(loops, pairs)
+        self.answers: list[bool] = []
+
+    def include(self, a: int, b: int) -> bool:
+        self.answers.append(self.oracle.include(a, b))
+        return self.answers[-1]
+
+
+@pytest.mark.parametrize("unions", [ecw._UNIONS, -1])
+def test_escalation_matches_branch_and_bound(unions):
+    # with a budget of -1 the oracle decides every pair the search
+    # includes; the result must be the search's own, without a floor
+    queries = 0
+    answers = []
+    with mock.patch.object(ecw, "_UNIONS", unions):
+        for g in escalation_corpus():
+            _, loops, pairs = _indexed(g)
+            rec = RecordingOracle(loops, pairs)
+            found = _least_forest(loops, pairs, rec.oracle.value, rec)
+            assert found == _least_forest(loops, pairs)
+            queries += rec.oracle.queries
+            answers += rec.answers
+    assert queries > 0
+    if unions < 0:
+        assert True in answers and False in answers
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_multigraphs())
+def test_exact_ecw_matches_reference_when_every_pair_escalates(g):
+    # disconnected graphs, loops and peeled pendant pairs included
+    with mock.patch.object(ecw, "_UNIONS", -1):
+        val, w = exact_ecw(g)
+    assert (val, sorted(w.forest)) == reference_ecw(g)
+
+
+def test_golden_when_every_pair_escalates():
+    with mock.patch.object(ecw, "_UNIONS", -1):
+        assert golden_digest() == GOLDEN_DIGEST
 
 
 def test_least_forest_wrong_floor_keeps_golden():
