@@ -2,14 +2,13 @@
 """Reach table of exact_ecw's two phases.
 
 For each graph, print the edge-cut width found by the charge DP, the
-time of the DP, the time of the find phase that then looks for the
-lex-least forest reaching that value (the branch-and-bound, with the DP
-deciding a pair wherever it stalls), the number of DP queries it made,
-and the time of the search with no floor and no DP, which has to prove
-optimality by itself. Wherever the search without a floor finishes, its
-(value, forest) must equal the found one; the script exits 1 otherwise.
-Each phase is cut after --limit seconds (SIGALRM, so POSIX only) and
-then shows as '-'.
+time of the DP, the time of the find phase that then asks the DP about
+each pair in lex order for the lex-least forest reaching that value, the
+number of DP queries it made, and the time of the branch-and-bound of
+tests/reference.py, which has to prove optimality by itself. Wherever
+the reference finishes, its (value, forest) must equal the found one;
+the script exits 1 otherwise. Each phase is cut after --limit seconds
+(SIGALRM, so POSIX only) and then shows as '-'.
 
 The graphs are ladders, walls and seeded random multigraphs: a random
 spanning tree plus n/2 random extra pairs, parallels allowed.
@@ -19,11 +18,15 @@ import random
 import signal
 import sys
 import time
+from pathlib import Path
 
 from treecuts.chargedp import ForestOracle
 from treecuts.ecw import _indexed, _least_forest, spanning_tree_count
 from treecuts.families import ladder, wall
 from treecuts.multigraph import MultiGraph
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference import least_forest  # noqa: E402
 
 LADDERS = (8, 10, 12, 16, 20, 30, 40, 60, 80)
 WALLS = (3, 4, 5, 6, 7)
@@ -87,24 +90,25 @@ def main() -> int:
     signal.signal(signal.SIGALRM, _alarm)
 
     print("| graph | n | copies | spanning trees | ecw | DP s | find s | DP queries "
-          "| search without floor s | same forest |")
+          "| reference search s | same forest |")
     print("|---|---|---|---|---|---|---|---|---|---|")
     failed = False
     for name, g in graphs(args.seed):
         _, loops, pairs = _indexed(g)
         oracle, dp_s = timed(args.limit, ForestOracle, loops, pairs)
-        floor = found = find_s = None
+        found = find_s = None
         if oracle is not None:
-            floor = oracle.value
-            found, find_s = timed(args.limit, _least_forest, loops, pairs, floor, oracle)
+            chosen, find_s = timed(args.limit, _least_forest, len(loops), pairs, oracle)
+            if chosen is not None:
+                found = oracle.value, tuple(chosen)
         queries = "-" if oracle is None else oracle.queries
-        plain, plain_s = timed(args.limit, _least_forest, loops, pairs)
+        plain, plain_s = timed(args.limit, least_forest, loops, pairs)
         if found is None or plain is None:
             same = "-"
         else:
             same = "yes" if found == plain else "NO"
             failed |= found != plain
-        value = found[0] if found else (floor if floor is not None else "-")
+        value = "-" if oracle is None else oracle.value
         print(f"| {name} | {g.num_vertices()} | {g.num_edges()} "
               f"| {spanning_tree_count(g)} | {value} | {secs(dp_s)} "
               f"| {secs(find_s)} | {queries} | {secs(plain_s)} | {same} |", flush=True)

@@ -57,6 +57,8 @@ class ExternalProvider:
             )
         except OSError as e:
             raise ProviderError(f"provider could not run: {e}") from None
+        except subprocess.TimeoutExpired as e:
+            raise ProviderError(f"provider timed out after {e.timeout} s") from None
         if proc.returncode != 0:
             raise ProviderError(f"provider exited with {proc.returncode}")
         out = proc.stdout.strip()

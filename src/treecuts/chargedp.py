@@ -15,51 +15,44 @@ charge at most K" over connected vertex sets of small cut. The same
 decision takes pairs required in the tree or forbidden, and an accepted
 one expands into a tree.
 
-`ForestOracle` runs one DP per component and keeps the tables of the
-optimum. `ecw_floor` is its value. `ecw.exact_ecw` takes the value from
-here and searches for the lex-least forest reaching it; where that
-search stalls, the oracle decides the forest's next pair.
+`ForestOracle` runs one DP per component, keeps the tables of the
+optimum and a witness tree, and answers pair by pair whether an optimal
+forest holds the pairs asked so far. `ecw.exact_ecw` takes the value
+from it and keeps, in lex order, each pair it answers yes to.
 """
 from __future__ import annotations
 
-from .ecw import _peel_pendants
-
-
-def ecw_floor(loops: list[int], pairs: list[tuple[int, int, int]]) -> int:
-    """Edge-cut width of the multigraph on vertices 0..n-1; 0 when n is 0.
-
-    loops[x] counts the loops at x and pairs are the distinct non-loop
-    pairs (a, b, multiplicity), as `ecw._indexed` gives them. The value
-    half of `ForestOracle`.
-    """
-    return ForestOracle(loops, pairs).value
+from .ecw import _path_vertices, _peel_pendants
 
 
 class ForestOracle:
     """The optimal spanning forests of a multigraph on vertices 0..n-1,
     asked about pair by pair.
 
-    loops and pairs are as for `ecw_floor`. Pendant vertices, those with
-    one distinct loopless neighbour, are peeled first, as in
-    spanning_tree_count: a pendant vertex v with m copies to u is a leaf
-    of every spanning tree, charged m - 1 plus its loops, and its m - 1
-    spare copies charge u alone, like loops at u. One `_ChargeDP` then
-    runs on what is left of each component, from the largest charge found
-    so far, and keeps the tables of the bound it accepts. `value` is the
-    edge-cut width, 0 when n is 0.
+    loops[x] counts the loops at x and pairs are the distinct non-loop
+    pairs (a, b, multiplicity), as `ecw._indexed` gives them. Pendant
+    vertices, those with one distinct loopless neighbour, are peeled
+    first, as in spanning_tree_count: a pendant vertex v with m copies to
+    u is a leaf of every spanning tree, charged m - 1 plus its loops, and
+    its m - 1 spare copies charge u alone, like loops at u. One
+    `_ChargeDP` then runs on what is left of each component, from the
+    largest charge found so far, and keeps the tables of the bound it
+    accepts. `value` is the edge-cut width, 0 when n is 0.
 
     include(a, b) decides the pairs of one optimal forest in the order
     they are asked: it includes (a, b) when an optimal forest holds it,
     the pairs included so far and none of those excluded, and excludes it
-    otherwise. A witness of the decisions so far is kept, so a pair in it
-    is included with no DP query; `queries` counts the others. Pairs with
-    a peeled end lie in every spanning forest and are always in it.
+    otherwise. A witness of the decisions so far is kept, one tree per
+    component over its core indices, and two yes answers need no DP
+    query: the pair is in the witness, or swapping it in for a pair on
+    its witness path keeps every charge within the value. `queries`
+    counts the others. Pairs with a peeled end lie in every spanning
+    forest and are always in it.
     """
 
     def __init__(self, loops: list[int], pairs: list[tuple[int, int, int]]):
         n = len(loops)
         self.queries = 0
-        self.trees: list[set[tuple[int, int]]] | None = None
         loops = loops[:]
         adj: dict[int, dict[int, int]] = {v: {} for v in range(n)}
         for a, b, m in pairs:
@@ -96,31 +89,89 @@ class ForestOracle:
             low = dp.least_bound(low)
             self.dps.append((core, dp))
         self.value = low + 1 if n else 0
+        self.trees = [dp.tree() for _, dp in self.dps]
 
     def include(self, a: int, b: int) -> bool:
         """Whether an optimal forest holds the pair (a, b), a < b, the
         pairs included so far and none of those excluded; the pair is
         then included, and excluded otherwise."""
-        if self.trees is None:  # the witness of the accepted bounds
-            self.trees = [self._tree(i) for i in range(len(self.dps))]
         if (a, b) in self.always:
             return True
-        at, ia = self.home[a]
+        at, x = self.home[a]
+        y = self.home[b][1]
         dp = self.dps[at][1]
-        dp.fix(ia, self.home[b][1], True)
-        if (a, b) in self.trees[at]:
+        dp.fix(x, y, True)
+        if (x, y) in self.trees[at] or self._swap(at, x, y):
             return True
         self.queries += 1
         if dp.feasible(self.value - 1):
-            self.trees[at] = self._tree(at)
+            self.trees[at] = dp.tree()
             return True
-        dp.fix(ia, self.home[b][1], False)
+        dp.fix(x, y, False)
         return False
 
-    def _tree(self, at: int) -> set[tuple[int, int]]:
-        """The pairs of component at's tree in its DP's last accepted decision."""
-        core, dp = self.dps[at]
-        return {(min(core[x], core[y]), max(core[x], core[y])) for x, y in dp.tree()}
+    def _swap(self, at: int, x: int, y: int) -> bool:
+        """Whether some pair not required on the witness path from x to y
+        can leave component at's witness tree for (x, y) with every
+        charge at most value - 1; the first such tree becomes the witness.
+
+        It spans, holds every required pair and no forbidden one, so it
+        witnesses the yes."""
+        dp = self.dps[at][1]
+        tree = self.trees[at]
+        up = _rooted(dp.k, tree, x)[0]
+        v = y
+        while v != x:
+            u = up[v]
+            if not dp.req[u] >> v & 1:
+                swapped = tree - {(min(u, v), max(u, v))}
+                swapped.add((x, y))
+                if _charges_within(dp, swapped, self.value - 1):
+                    self.trees[at] = swapped
+                    return True
+            v = u
+        return False
+
+
+def _rooted(k: int, tree, root: int) -> tuple[list[int], list[int]]:
+    """Parent (root: itself) and depth lists of a tree given as pairs
+    over vertices 0..k-1, rooted at root."""
+    adj: list[list[int]] = [[] for _ in range(k)]
+    for u, v in tree:
+        adj[u].append(v)
+        adj[v].append(u)
+    up = [-1] * k
+    depth = [0] * k
+    up[root] = root
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if up[v] < 0:
+                up[v] = u
+                depth[v] = depth[u] + 1
+                stack.append(v)
+    return up, depth
+
+
+def _charges_within(dp: _ChargeDP, tree, bound: int) -> bool:
+    """Whether every vertex of dp's graph is charged at most bound by the
+    spanning tree given as pairs (u, v), u < v, over its indices."""
+    up, depth = _rooted(dp.k, tree, 0)
+    charge = dp.loops[:]
+    for u, ms in enumerate(dp.mul):
+        for v, m in ms.items():
+            if v < u:
+                continue
+            if (u, v) in tree:  # the spare copies charge the ends alone
+                path, m = (u, v), m - 1
+            else:
+                path = _path_vertices(up, depth, u, v)
+            for z in path:
+                charge[z] += m
+                if charge[z] > bound:
+                    return False
+    return True
 
 
 def _drive(gen):
@@ -239,16 +290,16 @@ class _ChargeDP:
         self.reqv = sum(1 << x for x, r in enumerate(self.req) if r)
         self.stale |= 1 << a | 1 << b
 
-    def tree(self) -> list[tuple[int, int]]:
-        """The (parent, child) pairs of a tree the last accepted decision
-        found, rooted at vertex 0."""
+    def tree(self) -> set[tuple[int, int]]:
+        """The pairs (u, v), u < v, of a tree the last accepted decision
+        found."""
         k = self.k
-        out = []
+        out = set()
         todo = [(0, c) for c in self.components(self.full & ~1)]
         while todo:
             x, c = todo.pop()
             p, y = self.how[c * k + x]
-            out.append((x, y))
+            out.add((x, y) if x < y else (y, x))
             for top, s in ((x, c & ~p), (y, p & ~(1 << y))):
                 if s:
                     todo.extend((top, d) for d in self.components(s))

@@ -7,20 +7,16 @@ edge-cut width of (H, T) is one plus the largest charge. Host elements
 absent from the base graph are ghosts.
 
 exact_ecw runs in two phases. The charge DP of `treecuts.chargedp` finds
-the optimum value. Then the branch-and-bound `_least_forest` walks the
-forests in lexicographic order, looking only for forests of at most that
-value, and stops at the first one it reaches. Being first, it is the
-lex-least optimal forest, the one exact_ecw has always returned. Where
-the search stalls, the DP, kept with the tables of the optimum, decides
-the next pair of that forest: it answers whether an optimal forest holds
-the pairs decided in so far, this one too, and none decided out. The
-search then drops whatever the answer rules out, so only the way the
-forest is found changes. The DP is checked against brute force, with
-and without such constraints, and against the search without a floor.
+the optimum value and a witness forest. Then the pairs are taken in
+lexicographic order, and each is kept exactly when the DP says an
+optimal forest holds it, the pairs kept so far and none of those
+dropped. That walk gives the lex-least optimal forest, the one exact_ecw
+has always returned, with no search. The DP is checked against brute
+force, with and without such constraints, and against the
+branch-and-bound of tests/reference.py.
 """
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -257,12 +253,9 @@ def exact_ecw(g: MultiGraph, budget: int = 10**6) -> tuple[int, SpanningWitness]
 
     No ghosts are introduced, so this is ecw(g) exactly. The achieving
     forest is the lexicographically least among the optima. The value
-    comes from the charge DP (`chargedp.ForestOracle`); the
-    branch-and-bound `_least_forest` then searches forests in
-    lexicographic order and stops at the first one that reaches it,
-    asking the DP to decide a pair each time it undoes _UNIONS unions
-    without settling one. The budget caps the spanning forest count of g,
-    whatever the search ends up visiting.
+    comes from the charge DP (`chargedp.ForestOracle`); `_least_forest`
+    then asks the DP about each pair in lex order. The budget caps the
+    spanning forest count of g.
     """
     if g.num_vertices() == 0:
         return 0, SpanningWitness(g.copy(), g.copy(), frozenset())
@@ -276,9 +269,9 @@ def exact_ecw(g: MultiGraph, budget: int = 10**6) -> tuple[int, SpanningWitness]
 
     vs, loops, pairs = _indexed(g)
     oracle = ForestOracle(loops, pairs)
-    value, chosen = _least_forest(loops, pairs, oracle.value, oracle)
+    chosen = _least_forest(len(vs), pairs, oracle)
     forest = frozenset((vs[a], vs[b]) for a, b in chosen)
-    return value, SpanningWitness(g.copy(), g.copy(), forest)
+    return oracle.value, SpanningWitness(g.copy(), g.copy(), forest)
 
 
 def _indexed(g: MultiGraph) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
@@ -297,265 +290,31 @@ def _indexed(g: MultiGraph) -> tuple[list[int], list[int], list[tuple[int, int, 
     return vs, loops, pairs
 
 
-# unions the search may undo, after the last pair it settled, before the
-# oracle decides the next one
-_UNIONS = 200
+def _least_forest(n: int, pairs: list[tuple[int, int, int]], oracle) -> list[EdgePair]:
+    """The lex-least optimal forest over vertices 0..n-1, pair by pair.
 
-
-def _least_forest(
-    loops: list[int], pairs: list[tuple[int, int, int]], floor: int | None = None,
-    oracle=None,
-) -> tuple[int, tuple[EdgePair, ...]]:
-    """Branch-and-bound behind exact_ecw over vertices 0..n-1.
-
-    loops[x] counts the loops at x; pairs are the distinct non-loop pairs
-    (a, b, multiplicity), lex-sorted. Pair i is first included, then
-    excluded; a pair whose ends the forest already joins is excluded
-    outright. Excluding is tried only if a and b stay joinable through the
-    forest and pairs[i+1:], so every pass through all pairs ends in a
-    maximal spanning forest, and leaves are reached in lexicographic
-    order of their sorted pair tuples.
-
-    Charges are kept per vertex as the search goes, with an undo log. An
-    included pair charges its ends m - 1 and an excluded one its ends m at
-    once; the interior of an excluded pair's forest path is charged when
-    that path is fixed, on exclusion if its ends are joined already and
-    otherwise at the union that joins them. A branch is cut once
-    1 + max charge reaches the best value found, so no forest below it
-    can beat that value and the first forest reaching the optimum is kept.
-
-    floor, when given, should be the optimum (exact_ecw passes the DP
-    value). The search then seeks only forests of value at most floor and
-    stops at the first one whose value equals it; being first in
-    lexicographic order, that forest is the lex-least optimum. A floor
-    below the optimum only costs time: no forest reaches it, and the
-    search runs again without one. A floor above the optimum is harmless
-    only when the first forest found lies below it, since the search then
-    runs to the end; one that the first forest meets exactly ends the
-    search there, so floor must never exceed the optimum.
-
-    oracle, when given, is a `chargedp.ForestOracle` of the same graph and
-    floor is its value. The search below a decided prefix of pairs runs
-    as above and counts the unions it undoes, not those it makes, since a
-    search that never backs up makes n - 1. Once it has undone more than
-    _UNIONS since the prefix last grew, the prefix grows: exclusions the
-    search has
-    proved, by exhausting the inclusion, join it first, and then the
-    oracle decides the first pair the search has included but not
-    settled. A yes settles the inclusion and the search goes on where it
-    was; a no drops everything below the inclusion and excludes the pair.
-    Neither cuts a forest that could come first, so the result is the one
-    the search finds alone; inputs settled within _UNIONS undone unions
-    never ask.
-
-    The search keeps its own stack of nodes, so its depth is not bounded
-    by the interpreter's recursion limit.
+    pairs are as `_indexed` gives them and oracle is a fresh
+    `chargedp.ForestOracle` of the same graph. Each pair is kept exactly
+    when an optimal forest holds it, the pairs kept before it and none of
+    those dropped: a forest holding pair i sorts before every forest
+    that agrees with it below i and lacks i. A pair whose ends the kept
+    pairs already join is dropped with no question, since no forest
+    holding them can hold it.
     """
-    n = len(loops)
-    charge = loops[:]
-    log: list[tuple[list[int] | EdgePair, int]] = []
-    fadj = [0] * n  # forest neighbour masks
-    # suf[i][x]: neighbours of x through pairs[i:]
-    suf = [[0] * n]
-    for a, b, _ in reversed(pairs):
-        row = suf[-1][:]
-        row[a] |= 1 << b
-        row[b] |= 1 << a
-        suf.append(row)
-    suf.reverse()
-    # union by rank, undone by hand; comp[r] is the vertex mask of root r
-    par = list(range(n))
-    rank = [0] * n
-    comp = [1 << x for x in range(n)]
-    # the forest rooted per tree: parent (-1 at a root) and depth
-    up = [-1] * n
-    depth = [0] * n
-    chosen: list[EdgePair] = []
-    if floor is None:
-        best = sum(m for _, _, m in pairs) + sum(loops) + 2  # above any value
-    else:
-        best = floor + 1
-    best_forest: tuple[EdgePair, ...] | None = None
+    root = list(range(n))
 
     def find(x: int) -> int:
-        while par[x] != x:
-            x = par[x]
+        while root[x] != x:
+            root[x] = x = root[root[x]]
         return x
 
-    def joinable(a: int, b: int, extra: list[int]) -> bool:
-        """Whether b is reachable from a over forest and extra edges."""
-        target = 1 << b
-        seen = front = 1 << a
-        while front:
-            nxt = 0
-            while front:
-                low = front & -front
-                x = low.bit_length() - 1
-                nxt |= fadj[x] | extra[x]
-                front ^= low
-            if nxt & target:
-                return True
-            front = nxt & ~seen
-            seen |= front
-        return False
-
-    def path(a: int, b: int) -> list[int]:
-        """Vertices inside the forest path a..b, ends excluded."""
-        out = []
-        x, y = a, b
-        while depth[x] > depth[y]:
-            x = up[x]
-            out.append(x)
-        while depth[y] > depth[x]:
-            y = up[y]
-            out.append(y)
-        while x != y:
-            x = up[x]
-            y = up[y]
-            out.append(x)
-            if x != y:
-                out.append(y)
-        if x == a or x == b:  # one end is the other's ancestor
-            out.pop()
-        return out
-
-    def hang(b: int, a: int) -> list[tuple[int, int, int]]:
-        """Re-root the tree of b at b and hang it below a; the old
-        (vertex, parent, depth) entries, for undoing."""
-        old = [(b, up[b], depth[b])]
-        up[b] = a
-        depth[b] = depth[a] + 1
-        stack = [b]
-        while stack:
-            x = stack.pop()
-            d = depth[x] + 1
-            kids = fadj[x] & ~(1 << up[x])
-            while kids:
-                low = kids & -kids
-                c = low.bit_length() - 1
-                kids ^= low
-                old.append((c, up[c], depth[c]))
-                up[c] = x
-                depth[c] = d
-                stack.append(c)
-        return old
-
-    def add(xs: list[int] | EdgePair, m: int, top: int) -> int:
-        """Charge every vertex of xs by m; the new max charge."""
-        for x in xs:
-            c = charge[x] + m
-            charge[x] = c
-            if c > top:
-                top = c
-        log.append((xs, m))
-        return top
-
-    def undo(mark: int) -> None:
-        while len(log) > mark:
-            xs, m = log.pop()
-            for x in xs:
-                charge[x] -= m
-
-    # A node of the search is (i, pending, top) with its log mark. Its
-    # forced steps run in place; at a pair that joins two trees the node
-    # is pushed with what undoing the inclusion needs, and the included
-    # child runs. On return the node tries the excluded child, pushed as
-    # (mark, None), and is then done. Nodes leave the bottom of the
-    # stack, never to be undone, once they are decided: an exclusion the
-    # search proved or an inclusion the oracle confirmed.
-    stack: list[tuple] = []
-    i, pending, top, mark = 0, [], max(charge), 0
-    undone, limit = 0, _UNIONS if oracle is not None else sys.maxsize
-    cut = sys.maxsize  # the stack depth from which no excluded child is tried
-    while True:
-        descended = False
-        while top + 1 < best:
-            if i == len(pairs):
-                best = top + 1
-                best_forest = tuple(chosen)
-                if best == floor:
-                    return best, best_forest
-                break
-            a, b, m = pairs[i]
-            ra, rb = find(a), find(b)
-            i += 1
-            if ra == rb:
-                xs = path(a, b)
-                xs += (a, b)
-                top = add(xs, m, top)
-                continue
-            inner = len(log)
-            t = add((a, b), m - 1, top) if m > 1 else top
-            if rank[ra] < rank[rb]:
-                ra, rb = rb, ra
-            bump = rank[ra] == rank[rb]
-            rank[ra] += bump
-            par[rb] = ra
-            ca, cb = comp[ra], comp[rb]
-            both = comp[ra] = ca | cb
-            small = ca if ca.bit_count() <= cb.bit_count() else cb
-            moved = hang(b, a) if small >> b & 1 else hang(a, b)
-            fadj[a] |= 1 << b
-            fadj[b] |= 1 << a
+    chosen = []
+    for a, b, _ in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb and oracle.include(a, b):
+            root[ra] = rb
             chosen.append((a, b))
-            rest = []
-            for p in pending:
-                x, y, k = p
-                if both >> x & both >> y & 1:  # the union joins x and y
-                    t = add(path(x, y), k, t)
-                else:
-                    rest.append(p)
-            stack.append((mark, (i, pending, top, a, b, m, ra, rb, bump, ca, moved, inner)))
-            pending, top, mark = rest, t, len(log)
-            descended = True
-            break
-        if descended:
-            if undone <= limit:
-                continue
-            # stalled: the oracle decides the first pair the search has
-            # included but not yet settled
-            undone = 0
-            while stack[0][1] is None:
-                del stack[0]
-            if oracle.include(*stack[0][1][3:5]):
-                del stack[0]
-                continue
-            # no optimal forest lies below that inclusion: back to it,
-            # trying no excluded child on the way, and exclude the pair
-            cut = 1
-        undo(mark)
-        # back to the nearest node whose excluded child is untried
-        while stack:
-            mark, state = stack.pop()
-            if state is None:
-                undo(mark)
-                continue
-            i, pending, top, a, b, m, ra, rb, bump, ca, moved, inner = state
-            undone += 1
-            chosen.pop()
-            fadj[a] ^= 1 << b
-            fadj[b] ^= 1 << a
-            comp[ra] = ca
-            par[rb] = rb
-            rank[ra] -= bump
-            for x, u, d in moved:
-                up[x] = u
-                depth[x] = d
-            undo(inner)
-            if joinable(a, b, suf[i]) and len(stack) < cut:
-                if cut == 1:  # the oracle's no settles this pair
-                    cut, undone = sys.maxsize, 0
-                stack.append((mark, None))
-                top = add((a, b), m, top)
-                pending = pending + [(a, b, m)]
-                mark = len(log)
-                break
-            undo(mark)
-        else:
-            break
-    if best_forest is None:  # the floor was below the optimum
-        return _least_forest(loops, pairs)
-    return best, best_forest
+    return chosen
 
 
 def sec_upper(

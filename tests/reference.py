@@ -1,0 +1,216 @@
+"""Independent references that the tests compare the package against.
+
+`least_forest` is the branch-and-bound that found exact_ecw's forest
+before the charge DP decided it pair by pair. It knows nothing of the
+DP: it proves optimality by itself, so it checks both the DP's value and
+the forest that the DP's answers pick. scripts/ecw_reach_table.py times
+it too.
+"""
+from __future__ import annotations
+
+EdgePair = tuple[int, int]
+
+
+def least_forest(
+    loops: list[int], pairs: list[tuple[int, int, int]]
+) -> tuple[int, tuple[EdgePair, ...]]:
+    """(edge-cut width, lex-least optimal forest) over vertices 0..n-1.
+
+    loops[x] counts the loops at x; pairs are the distinct non-loop pairs
+    (a, b, multiplicity), lex-sorted, as `ecw._indexed` gives them. Pair i
+    is first included, then excluded; a pair whose ends the forest
+    already joins is excluded outright. Excluding is tried only if a and
+    b stay joinable through the forest and pairs[i+1:], so every pass
+    through all pairs ends in a maximal spanning forest, and leaves are
+    reached in lexicographic order of their sorted pair tuples.
+
+    Charges are kept per vertex as the search goes, with an undo log. An
+    included pair charges its ends m - 1 and an excluded one its ends m at
+    once; the interior of an excluded pair's forest path is charged when
+    that path is fixed, on exclusion if its ends are joined already and
+    otherwise at the union that joins them. A branch is cut once
+    1 + max charge reaches the best value found, so no forest below it
+    can beat that value and the first forest reaching the optimum is kept.
+
+    The search keeps its own stack of nodes, so its depth is not bounded
+    by the interpreter's recursion limit.
+    """
+    n = len(loops)
+    charge = loops[:]
+    log: list[tuple[list[int] | EdgePair, int]] = []
+    fadj = [0] * n  # forest neighbour masks
+    # suf[i][x]: neighbours of x through pairs[i:]
+    suf = [[0] * n]
+    for a, b, _ in reversed(pairs):
+        row = suf[-1][:]
+        row[a] |= 1 << b
+        row[b] |= 1 << a
+        suf.append(row)
+    suf.reverse()
+    # union by rank, undone by hand; comp[r] is the vertex mask of root r
+    par = list(range(n))
+    rank = [0] * n
+    comp = [1 << x for x in range(n)]
+    # the forest rooted per tree: parent (-1 at a root) and depth
+    up = [-1] * n
+    depth = [0] * n
+    chosen: list[EdgePair] = []
+    best = sum(m for _, _, m in pairs) + sum(loops) + 2  # above any value
+    best_forest: tuple[EdgePair, ...] = ()
+
+    def find(x: int) -> int:
+        while par[x] != x:
+            x = par[x]
+        return x
+
+    def joinable(a: int, b: int, extra: list[int]) -> bool:
+        """Whether b is reachable from a over forest and extra edges."""
+        target = 1 << b
+        seen = front = 1 << a
+        while front:
+            nxt = 0
+            while front:
+                low = front & -front
+                x = low.bit_length() - 1
+                nxt |= fadj[x] | extra[x]
+                front ^= low
+            if nxt & target:
+                return True
+            front = nxt & ~seen
+            seen |= front
+        return False
+
+    def path(a: int, b: int) -> list[int]:
+        """Vertices inside the forest path a..b, ends excluded."""
+        out = []
+        x, y = a, b
+        while depth[x] > depth[y]:
+            x = up[x]
+            out.append(x)
+        while depth[y] > depth[x]:
+            y = up[y]
+            out.append(y)
+        while x != y:
+            x = up[x]
+            y = up[y]
+            out.append(x)
+            if x != y:
+                out.append(y)
+        if x == a or x == b:  # one end is the other's ancestor
+            out.pop()
+        return out
+
+    def hang(b: int, a: int) -> list[tuple[int, int, int]]:
+        """Re-root the tree of b at b and hang it below a; the old
+        (vertex, parent, depth) entries, for undoing."""
+        old = [(b, up[b], depth[b])]
+        up[b] = a
+        depth[b] = depth[a] + 1
+        stack = [b]
+        while stack:
+            x = stack.pop()
+            d = depth[x] + 1
+            kids = fadj[x] & ~(1 << up[x])
+            while kids:
+                low = kids & -kids
+                c = low.bit_length() - 1
+                kids ^= low
+                old.append((c, up[c], depth[c]))
+                up[c] = x
+                depth[c] = d
+                stack.append(c)
+        return old
+
+    def add(xs: list[int] | EdgePair, m: int, top: int) -> int:
+        """Charge every vertex of xs by m; the new max charge."""
+        for x in xs:
+            c = charge[x] + m
+            charge[x] = c
+            if c > top:
+                top = c
+        log.append((xs, m))
+        return top
+
+    def undo(mark: int) -> None:
+        while len(log) > mark:
+            xs, m = log.pop()
+            for x in xs:
+                charge[x] -= m
+
+    # A node of the search is (i, pending, top) with its log mark. Its
+    # forced steps run in place; at a pair that joins two trees the node
+    # is pushed with what undoing the inclusion needs, and the included
+    # child runs. On return the node tries the excluded child, pushed as
+    # (mark, None), and is then done.
+    stack: list[tuple] = []
+    i, pending, top, mark = 0, [], max(charge, default=0), 0
+    while True:
+        descended = False
+        while top + 1 < best:
+            if i == len(pairs):
+                best = top + 1
+                best_forest = tuple(chosen)
+                break
+            a, b, m = pairs[i]
+            ra, rb = find(a), find(b)
+            i += 1
+            if ra == rb:
+                xs = path(a, b)
+                xs += (a, b)
+                top = add(xs, m, top)
+                continue
+            inner = len(log)
+            t = add((a, b), m - 1, top) if m > 1 else top
+            if rank[ra] < rank[rb]:
+                ra, rb = rb, ra
+            bump = rank[ra] == rank[rb]
+            rank[ra] += bump
+            par[rb] = ra
+            ca, cb = comp[ra], comp[rb]
+            both = comp[ra] = ca | cb
+            small = ca if ca.bit_count() <= cb.bit_count() else cb
+            moved = hang(b, a) if small >> b & 1 else hang(a, b)
+            fadj[a] |= 1 << b
+            fadj[b] |= 1 << a
+            chosen.append((a, b))
+            rest = []
+            for p in pending:
+                x, y, k = p
+                if both >> x & both >> y & 1:  # the union joins x and y
+                    t = add(path(x, y), k, t)
+                else:
+                    rest.append(p)
+            stack.append((mark, (i, pending, top, a, b, m, ra, rb, bump, ca, moved, inner)))
+            pending, top, mark = rest, t, len(log)
+            descended = True
+            break
+        if descended:
+            continue
+        undo(mark)
+        # back to the nearest node whose excluded child is untried
+        while stack:
+            mark, state = stack.pop()
+            if state is None:
+                undo(mark)
+                continue
+            i, pending, top, a, b, m, ra, rb, bump, ca, moved, inner = state
+            chosen.pop()
+            fadj[a] ^= 1 << b
+            fadj[b] ^= 1 << a
+            comp[ra] = ca
+            par[rb] = rb
+            rank[ra] -= bump
+            for x, u, d in moved:
+                up[x] = u
+                depth[x] = d
+            undo(inner)
+            if joinable(a, b, suf[i]):
+                stack.append((mark, None))
+                top = add((a, b), m, top)
+                pending = pending + [(a, b, m)]
+                mark = len(log)
+                break
+            undo(mark)
+        else:
+            break
+    return best, best_forest

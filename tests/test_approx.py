@@ -1,6 +1,8 @@
 import os
 import random
 import stat
+import subprocess
+from unittest import mock
 
 import pytest
 
@@ -11,6 +13,7 @@ from treecuts.approx import (
     approximate_stcw,
     oracle_provider,
 )
+from treecuts.cli import main
 from treecuts.decomposition import (
     TreeCutDecomposition,
     is_very_nice,
@@ -19,6 +22,7 @@ from treecuts.decomposition import (
     width_report,
 )
 from treecuts.families import wall, windmill
+from treecuts.formats import write_edge_list
 from treecuts import oracle
 from treecuts.multigraph import MultiGraph
 from treecuts.oracle import exact_width
@@ -128,6 +132,19 @@ def test_external_provider_garbage(tmp_path):
         ExternalProvider(prog2)(tree6(), 1)
     with pytest.raises(ProviderError):
         ExternalProvider(str(tmp_path / "missing.sh"))(tree6(), 1)
+
+
+def test_external_provider_timeout(tmp_path, capsys):
+    # a hung provider is a misbehaving one (CLI exit 2), not a refutation
+    prog = write_script(tmp_path, "hang.sh", 'echo "NO"\n')
+    hung = subprocess.TimeoutExpired([prog, "1"], 600)
+    with mock.patch.object(subprocess, "run", side_effect=hung):
+        with pytest.raises(ProviderError, match="timed out"):
+            ExternalProvider(prog)(tree6(), 1)
+        gpath = tmp_path / "g.txt"
+        gpath.write_text(write_edge_list(tree6()))
+        assert main(["approx", str(gpath), "--omega", "1", "--provider", f"exec:{prog}"]) == 2
+    assert "timed out" in capsys.readouterr().err
 
 
 def test_external_provider_feeds_pipeline(tmp_path):

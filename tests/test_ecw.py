@@ -2,14 +2,13 @@ import hashlib
 import itertools
 import random
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecuts import ecw
-from treecuts.chargedp import ForestOracle, _ChargeDP, ecw_floor
+from treecuts.chargedp import ForestOracle, _ChargeDP
 from treecuts.ecw import (
     BudgetExceededError,
     EdgePair,
@@ -29,6 +28,7 @@ from treecuts.families import ladder, wall
 from treecuts.multigraph import MultiGraph
 
 from conftest import random_connected_multi
+from reference import least_forest
 
 
 def c4():
@@ -306,7 +306,7 @@ def test_exact_ecw_matches_reference(g):
 @given(small_multigraphs())
 def test_charge_dp_matches_reference(g):
     _, loops, pairs = _indexed(g)
-    assert ecw_floor(loops, pairs) == reference_ecw(g)[0]
+    assert ForestOracle(loops, pairs).value == reference_ecw(g)[0]
 
 
 def test_charge_dp_matches_search_past_brute_force():
@@ -315,7 +315,7 @@ def test_charge_dp_matches_search_past_brute_force():
     for _ in range(12):
         g = random_connected_multi(rng, rng.randint(9, 12), rng.randint(5, 9), loops=True)
         _, loops, pairs = _indexed(g)
-        assert ecw_floor(loops, pairs) == _least_forest(loops, pairs)[0]
+        assert ForestOracle(loops, pairs).value == least_forest(loops, pairs)[0]
 
 
 @st.composite
@@ -359,8 +359,49 @@ def test_constrained_charge_dp_matches_brute_force(g, data):
                 and all((p in t) == want for p, want in fixed.items())]
         assert dp.feasible(bound) == bool(fits), (fixed, bound)
         if fits:
-            tree = {(min(x, y), max(x, y)) for x, y in dp.tree()}
-            assert any(tree == t for t in fits)
+            assert dp.tree() in fits
+
+
+def witness_forest(oracle: ForestOracle) -> set[EdgePair]:
+    """The oracle's witness trees over the graph's indices, with the
+    pairs of its peeled pendants."""
+    out = set(oracle.always)
+    for (core, _), tree in zip(oracle.dps, oracle.trees):
+        out |= {(core[x], core[y]) for x, y in tree}
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_multigraphs(), st.data())
+def test_forest_oracle_answers_match_brute_force(g, data):
+    # disconnected graphs, loops and peeled pendants included; the pairs
+    # are asked in lex order, some skipped, and none is skipped for
+    # closing a cycle, so those are asked too
+    vs, loops, pairs = _indexed(g)
+    n = g.num_vertices()
+    comps = len(g.components())
+    optimal = []
+    for forest in itertools.combinations([(a, b) for a, b, _ in pairs], n - comps):
+        if len(MultiGraph(range(n), forest).components()) == comps:
+            val = ecw_value(g, {(vs[a], vs[b]) for a, b in forest})
+            optimal.append((val, set(forest)))
+    value = min(v for v, _ in optimal)
+    optimal = [f for v, f in optimal if v == value]
+    oracle = ForestOracle(loops, pairs)
+    assert oracle.value == value
+    asked = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    fixed: dict[EdgePair, bool] = {}
+    for (a, b, _), ask in zip(pairs, asked):
+        if not ask:
+            continue
+        fixed[a, b] = True
+        want = any(all((p in f) == keep for p, keep in fixed.items()) for f in optimal)
+        assert oracle.include(a, b) == want, fixed
+        fixed[a, b] = want
+        # the witness the next answers start from is one of the optima
+        witness = witness_forest(oracle)
+        assert witness in optimal
+        assert all((p in witness) == keep for p, keep in fixed.items())
 
 
 def escalation_corpus() -> list[MultiGraph]:
@@ -372,77 +413,51 @@ def escalation_corpus() -> list[MultiGraph]:
 
 
 class RecordingOracle:
-    """A ForestOracle that keeps the answers it gives."""
+    """A ForestOracle that keeps the answers it gives, each as "witness",
+    "swap", "query yes" or "query no"."""
 
     def __init__(self, loops, pairs):
         self.oracle = ForestOracle(loops, pairs)
-        self.answers: list[bool] = []
+        self.answers: list[str] = []
 
     def include(self, a: int, b: int) -> bool:
-        self.answers.append(self.oracle.include(a, b))
-        return self.answers[-1]
+        held = (a, b) in witness_forest(self.oracle)
+        queries = self.oracle.queries
+        yes = self.oracle.include(a, b)
+        if self.oracle.queries > queries:
+            self.answers.append("query yes" if yes else "query no")
+        else:
+            self.answers.append("witness" if held else "swap")
+        return yes
 
 
-@pytest.mark.parametrize("unions", [ecw._UNIONS, -1])
-def test_escalation_matches_branch_and_bound(unions):
-    # with a budget of -1 the oracle decides every pair the search
-    # includes; the result must be the search's own, without a floor
-    queries = 0
+def test_escalation_matches_branch_and_bound():
+    # graphs where the DP gives every kind of answer; the forest must be
+    # the one the branch-and-bound finds without the DP
     answers = []
-    with mock.patch.object(ecw, "_UNIONS", unions):
-        for g in escalation_corpus():
-            _, loops, pairs = _indexed(g)
-            rec = RecordingOracle(loops, pairs)
-            found = _least_forest(loops, pairs, rec.oracle.value, rec)
-            assert found == _least_forest(loops, pairs)
-            queries += rec.oracle.queries
-            answers += rec.answers
-    assert queries > 0
-    if unions < 0:
-        assert True in answers and False in answers
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_multigraphs())
-def test_exact_ecw_matches_reference_when_every_pair_escalates(g):
-    # disconnected graphs, loops and peeled pendant pairs included
-    with mock.patch.object(ecw, "_UNIONS", -1):
-        val, w = exact_ecw(g)
-    assert (val, sorted(w.forest)) == reference_ecw(g)
-
-
-def test_golden_when_every_pair_escalates():
-    with mock.patch.object(ecw, "_UNIONS", -1):
-        assert golden_digest() == GOLDEN_DIGEST
-
-
-def test_least_forest_wrong_floor_keeps_golden():
-    # a floor below the optimum only costs a second search; one above
-    # every forest's value is never met, so the search runs to the end
-    for shift in ("zero", "below", "above"):
-        h = hashlib.sha256()
-        for g in golden_graphs():
-            vs, loops, pairs = _indexed(g)
-            value = ecw_floor(loops, pairs)
-            floor = {"zero": 0, "below": value - 1,
-                     "above": g.num_edges() + 2}[shift]
-            val, chosen = _least_forest(loops, pairs, floor)
-            forest = sorted((vs[a], vs[b]) for a, b in chosen)
-            h.update(f"{val} {forest}\n".encode())
-        assert h.hexdigest() == GOLDEN_DIGEST, shift
+    for g in escalation_corpus():
+        _, loops, pairs = _indexed(g)
+        rec = RecordingOracle(loops, pairs)
+        found = tuple(_least_forest(len(loops), pairs, rec))
+        assert (rec.oracle.value, found) == least_forest(loops, pairs)
+        answers += rec.answers
+    assert {"witness", "swap", "query yes", "query no"} <= set(answers)
 
 
 def test_exact_ecw_long_path_and_cycle_without_recursion():
-    # the search and the DP keep their own stacks: 1200 included pairs,
-    # and a 520-cycle whose DP nests more than 1000 calls deep
+    # the find loop is flat and the DP keeps its own stack: 1200
+    # included pairs, and a 520-cycle whose DP nests more than 1000
+    # calls deep
     g = MultiGraph(range(1200), [(i, i + 1) for i in range(1199)])
     val, w = exact_ecw(g)
     assert val == 1
     assert validate_witness(w) == []
     cycle = MultiGraph(range(520), [(i, (i + 1) % 520) for i in range(520)])
     _, loops, pairs = _indexed(cycle)
-    assert ecw_floor(loops, pairs) == 2
-    assert _least_forest(loops, pairs, 2)[0] == 2
+    oracle = ForestOracle(loops, pairs)
+    assert oracle.value == 2
+    # every pair but the last in lex order, (518, 519), which closes the cycle
+    assert _least_forest(520, pairs, oracle) == [(a, b) for a, b, _ in pairs[:-1]]
 
 
 @pytest.mark.parametrize("seed", range(6))
