@@ -431,9 +431,17 @@ class RecordingOracle:
         return yes
 
 
-def test_escalation_matches_branch_and_bound():
+# The case ids are the names the two cases have always run under, from
+# when they were union budgets of the search: 200 the default, -1 every
+# pair sent to the DP. Now 200 runs the oracle as it is and -1 runs it
+# without swaps, so every yes outside the witness is a DP query.
+@pytest.mark.parametrize("swaps", [pytest.param(True, id="200"),
+                                   pytest.param(False, id="-1")])
+def test_escalation_matches_branch_and_bound(swaps, monkeypatch):
     # graphs where the DP gives every kind of answer; the forest must be
     # the one the branch-and-bound finds without the DP
+    if not swaps:
+        monkeypatch.setattr(ForestOracle, "_swap", lambda self, at, x, y: False)
     answers = []
     for g in escalation_corpus():
         _, loops, pairs = _indexed(g)
@@ -441,7 +449,8 @@ def test_escalation_matches_branch_and_bound():
         found = tuple(_least_forest(len(loops), pairs, rec))
         assert (rec.oracle.value, found) == least_forest(loops, pairs)
         answers += rec.answers
-    assert {"witness", "swap", "query yes", "query no"} <= set(answers)
+    kinds = {"witness", "swap", "query yes", "query no"}
+    assert set(answers) == (kinds if swaps else kinds - {"swap"})
 
 
 def test_exact_ecw_long_path_and_cycle_without_recursion():
