@@ -4,11 +4,14 @@
 For each graph, print the edge-cut width found by the charge DP, the
 time of the DP, the time of the find phase that then asks the DP about
 each pair in lex order for the lex-least forest reaching that value, the
-number of DP queries it made, and the time of the branch-and-bound of
-tests/reference.py, which has to prove optimality by itself. Wherever
-the reference finishes, its (value, forest) must equal the found one;
-the script exits 1 otherwise. Each phase is cut after --limit seconds
-(SIGALRM, so POSIX only) and then shows as '-'.
+number of DP queries it made, the peak memory of the two phases, and
+the time of the branch-and-bound of tests/reference.py, which has to
+prove optimality by itself. Wherever the reference finishes, its (value,
+forest) must equal the found one; the script exits 1 otherwise. Each
+phase is cut after --limit seconds (SIGALRM, so POSIX only) and then
+shows as '-'. The peak memory comes from a second run of both phases
+under tracemalloc, cut after --limit seconds as a whole, so the times
+are taken untraced.
 
 The graphs are ladders, walls and seeded random multigraphs: a random
 spanning tree plus n/2 random extra pairs, parallels allowed.
@@ -18,6 +21,7 @@ import random
 import signal
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 from treecuts.chargedp import ForestOracle
@@ -52,6 +56,21 @@ def timed(limit: float, fn, *args):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
     return out, time.perf_counter() - t0
+
+
+def peak_mb(limit: float, loops, pairs):
+    """The tracemalloc peak in MB of the DP and find phases run again,
+    or None once limit seconds pass."""
+    def phases():
+        return _least_forest(len(loops), pairs, ForestOracle(loops, pairs))
+
+    tracemalloc.start()
+    try:
+        out, _ = timed(limit, phases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return None if out is None else peak / 2**20
 
 
 def random_multigraph(seed: int, n: int) -> MultiGraph:
@@ -90,8 +109,8 @@ def main() -> int:
     signal.signal(signal.SIGALRM, _alarm)
 
     print("| graph | n | copies | spanning trees | ecw | DP s | find s | DP queries "
-          "| reference search s | same forest |")
-    print("|---|---|---|---|---|---|---|---|---|---|")
+          "| peak MB | reference search s | same forest |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
     failed = False
     for name, g in graphs(args.seed):
         _, loops, pairs = _indexed(g)
@@ -102,6 +121,8 @@ def main() -> int:
             if chosen is not None:
                 found = oracle.value, tuple(chosen)
         queries = "-" if oracle is None else oracle.queries
+        peak = None if found is None else peak_mb(args.limit, loops, pairs)
+        mb = "-" if peak is None else f"{peak:.1f}"
         plain, plain_s = timed(args.limit, least_forest, loops, pairs)
         if found is None or plain is None:
             same = "-"
@@ -111,7 +132,7 @@ def main() -> int:
         value = "-" if oracle is None else oracle.value
         print(f"| {name} | {g.num_vertices()} | {g.num_edges()} "
               f"| {spanning_tree_count(g)} | {value} | {secs(dp_s)} "
-              f"| {secs(find_s)} | {queries} | {secs(plain_s)} | {same} |", flush=True)
+              f"| {secs(find_s)} | {queries} | {mb} | {secs(plain_s)} | {same} |", flush=True)
     return 1 if failed else 0
 
 

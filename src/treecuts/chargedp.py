@@ -218,8 +218,10 @@ class _ChargeDP:
     mul[x] maps each neighbour of x to the multiplicity of the pair and
     loops[x] counts the loops at x. The tables of the last decision are
     kept, with the (part, root) that set each H entry, so an accepted
-    decision expands into a tree (`tree`). The DP runs through `_drive`,
-    so its depth does not grow with k.
+    decision expands into a tree (`tree`). The components and e(S) of a
+    vertex set depend on the graph alone, so they are memoized per set
+    for the life of the DP, across bounds and constraints. The DP runs
+    through `_drive`, so its depth does not grow with k.
     """
 
     def __init__(self, mul: list[dict[int, int]], loops: list[int]):
@@ -233,6 +235,9 @@ class _ChargeDP:
         self.req = [0] * self.k  # required tree neighbours
         self.reqv = 0  # the vertices with a required pair
         self.stale = 0  # vertices fixed since the last decision
+        # graph-only memos, kept across bounds and constraints
+        self.comps: dict[int, tuple[int, ...]] = {}
+        self.e: dict[int, int] = {}
         # the tables of the last decision and the bound they are for
         self.bound: int | None = None
         self.parts: dict[int, list[tuple[int, int, int]]] = {}
@@ -307,6 +312,9 @@ class _ChargeDP:
 
     def edges(self, s: int) -> int:
         """e(s): the edge copies with both ends in s, loops included."""
+        total = self.e.get(s)
+        if total is not None:
+            return total
         total = 0
         rest = s
         while rest:
@@ -317,23 +325,30 @@ class _ChargeDP:
             for y, m in self.mul[x].items():
                 if s >> y & 1:
                     total += m
-        return total // 2
+        total = self.e[s] = total // 2
+        return total
 
-    def components(self, s: int) -> list[int]:
+    def components(self, s: int) -> tuple[int, ...]:
+        """The components of s, in the order of their least vertices."""
+        out = self.comps.get(s)
+        if out is not None:
+            return out
         nbr = self.nbr
-        out = []
-        while s:
-            seen = front = s & -s
+        found = []
+        rest = s
+        while rest:
+            seen = front = rest & -rest
             while front:
                 nxt = 0
                 while front:
                     low = front & -front
                     nxt |= nbr[low.bit_length() - 1]
                     front ^= low
-                front = nxt & s & ~seen
+                front = nxt & rest & ~seen
                 seen |= front
-            out.append(seen)
-            s &= ~seen
+            found.append(seen)
+            rest &= ~seen
+        out = self.comps[s] = tuple(found)
         return out
 
     def small_cut_sets(self, v: int) -> list[tuple[int, int, int]]:
@@ -456,13 +471,12 @@ class _ChargeDP:
         parts before any partition of r is tried; H(x, r) = -1, no valid
         partition, never fits, whatever the bound."""
         r = s & ~(1 << x)
-        inner = sum(m for y, m in self.mul[x].items() if r >> y & 1)
-        spare = cut - 1 + self.loops[x] + inner - self.bound
+        need = cut - 1 + e - self.bound
+        spare = need - self.edges(r)  # what #components(r) must make up
         if not r:
             ok = spare <= 0
         else:
             parts = self.components(r)
-            need = cut - 1 + e - self.bound
             ok = len(parts) >= spare and (
                 (yield from self.hsum(x, parts)) >= (need if need > 0 else 0)
             )

@@ -43,9 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--decomp", required=True)
 
-    p = sub.add_parser("ecw-exact", help="exact edge-cut width by enumeration")
+    p = sub.add_parser("ecw-exact", help="exact edge-cut width and its lex-least optimal "
+                       "spanning forest, by the charge DP")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=10**6,
+                   help="most spanning trees the graph may have; more exits 3")
 
     p = sub.add_parser("oracle", help="exact widths on tiny graphs")
     p.add_argument("graph")

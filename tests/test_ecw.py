@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecuts import ecw
+from treecuts import chargedp, ecw
 from treecuts.chargedp import ForestOracle, _ChargeDP
 from treecuts.ecw import (
     BudgetExceededError,
@@ -451,6 +451,85 @@ def test_escalation_matches_branch_and_bound(swaps, monkeypatch):
         answers += rec.answers
     kinds = {"witness", "swap", "query yes", "query no"}
     assert set(answers) == (kinds if swaps else kinds - {"swap"})
+
+
+def mask_components(dp: _ChargeDP, s: int) -> tuple[int, ...]:
+    """The components of the vertex set s in dp's graph, as bit masks in
+    the order of their least vertices, searched afresh."""
+    out = []
+    while s:
+        seen = front = s & -s
+        while front:
+            near = 0
+            for v in range(dp.k):
+                if front >> v & 1:
+                    near |= dp.nbr[v]
+            front = near & s & ~seen
+            seen |= front
+        out.append(seen)
+        s &= ~seen
+    return tuple(out)
+
+
+def mask_edges(dp: _ChargeDP, s: int) -> int:
+    """e(s) in dp's graph, counted afresh: loops and pairs inside s."""
+    inside = [v for v in range(dp.k) if s >> v & 1]
+    return (sum(dp.loops[v] for v in inside)
+            + sum(dp.mul[u].get(v, 0) for u, v in itertools.combinations(inside, 2)))
+
+
+def oracle_run(g: MultiGraph, memos: bool) -> tuple:
+    """(value, forest, witness trees, answers, queries) of the pair loop
+    on g, with the DP's graph-only memos or with every components and
+    edges call computed afresh."""
+    _, loops, pairs = _indexed(g)
+    with pytest.MonkeyPatch.context() as mp:
+        if not memos:
+            mp.setattr(_ChargeDP, "components", mask_components)
+            mp.setattr(_ChargeDP, "edges", mask_edges)
+        rec = RecordingOracle(loops, pairs)
+        found = _least_forest(len(loops), pairs, rec)
+    oracle = rec.oracle
+    return oracle.value, found, oracle.trees, rec.answers, oracle.queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_multigraphs())
+def test_memos_match_fresh_computation(g):
+    assert oracle_run(g, True) == oracle_run(g, False)
+
+
+def test_memos_match_fresh_computation_on_escalation_corpus():
+    for g in escalation_corpus():
+        assert oracle_run(g, True) == oracle_run(g, False)
+
+
+def test_memos_hold_fresh_values_after_exact_ecw(monkeypatch):
+    # every entry the DP kept through a whole exact_ecw run, and random
+    # masks asked afterwards, must match a fresh count; components come
+    # back as tuples, so a caller cannot edit the shared entry
+    made = []
+
+    class KeptOracle(ForestOracle):
+        def __init__(self, loops, pairs):
+            super().__init__(loops, pairs)
+            made.append(self)
+
+    monkeypatch.setattr(chargedp, "ForestOracle", KeptOracle)
+    rng = random.Random(15)
+    for g in escalation_corpus():
+        exact_ecw(g, budget=10**12)
+        for _, dp in made.pop().dps:
+            assert dp.comps and dp.e
+            for s, comps in dp.comps.items():
+                assert comps == mask_components(dp, s)
+            for s, e in dp.e.items():
+                assert e == mask_edges(dp, s)
+            kept = rng.sample(sorted(dp.comps), min(20, len(dp.comps)))
+            for s in [rng.getrandbits(dp.k) for _ in range(200)] + kept:
+                assert type(dp.components(s)) is tuple
+                assert dp.components(s) == mask_components(dp, s)
+                assert dp.edges(s) == mask_edges(dp, s)
 
 
 def test_exact_ecw_long_path_and_cycle_without_recursion():
