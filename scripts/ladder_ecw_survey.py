@@ -2,9 +2,10 @@
 """Survey edge-cut width on ladders.
 
 For each rung count, compare the rail-and-rungs spanning tree against
-the exact optimum over all spanning trees (while the enumeration stays
-inside the budget). The distinguished tree is conjectured optimal here;
-the survey makes that concrete for small ladders.
+the exact optimum, which exact_ecw's charge DP decides. The budget only
+caps the spanning tree count that exact_ecw checks up front; a ladder
+with more trees shows '-'. The distinguished tree is conjectured
+optimal here; the survey makes that concrete for small ladders.
 """
 import argparse
 import time
@@ -18,7 +19,7 @@ def main() -> int:
     ap.add_argument("--min-r", type=int, default=2)
     ap.add_argument("--max-r", type=int, default=9)
     ap.add_argument("--budget", type=int, default=10**6,
-                    help="spanning tree enumeration cap")
+                    help="most spanning trees a ladder may have for exact_ecw")
     args = ap.parse_args()
 
     print(f"{'r':>3} {'n':>4} {'m':>4} {'trees':>10} {'rails':>6} {'exact':>6} {'time':>7}")

@@ -15,14 +15,16 @@ charge at most K" over connected vertex sets of small cut. The same
 decision takes pairs required in the tree or forbidden, and an accepted
 one expands into a tree.
 
-`ForestOracle` runs one DP per component, keeps the tables of the
-optimum and a witness tree, and answers pair by pair whether an optimal
-forest holds the pairs asked so far. `ecw.exact_ecw` takes the value
-from it and keeps, in lex order, each pair it answers yes to.
+`ForestOracle` runs one DP per core that `ecw._cores` leaves, keeps the
+tables of the optimum and a witness tree, and answers pair by pair
+whether an optimal forest holds the pairs asked so far. `ecw.exact_ecw`
+takes the value from it and keeps, in lex order, each pair it answers
+yes to. Swaps are rooted and charged by `ecw._forest_paths` and
+`ecw._top_charge`, as every other forest is.
 """
 from __future__ import annotations
 
-from .ecw import _path_vertices, _peel_pendants
+from .ecw import _cores, _forest_paths, _path_vertices, _top_charge
 
 
 class ForestOracle:
@@ -30,65 +32,45 @@ class ForestOracle:
     asked about pair by pair.
 
     loops[x] counts the loops at x and pairs are the distinct non-loop
-    pairs (a, b, multiplicity), as `ecw._indexed` gives them. Pendant
-    vertices, those with one distinct loopless neighbour, are peeled
-    first, as in spanning_tree_count: a pendant vertex v with m copies to
-    u is a leaf of every spanning tree, charged m - 1 plus its loops, and
-    its m - 1 spare copies charge u alone, like loops at u. One
-    `_ChargeDP` then runs on what is left of each component, from the
-    largest charge found so far, and keeps the tables of the bound it
-    accepts. `value` is the edge-cut width, 0 when n is 0.
+    pairs (a, b, multiplicity), as `ecw._indexed` gives them. `ecw._cores`
+    peels the pendant vertices, those with one distinct loopless
+    neighbour, first: a pendant vertex v with m copies to u is a leaf of
+    every spanning tree, and its m - 1 spare copies charge v and u alone,
+    like loops at both. One `_ChargeDP` then runs on each core left, from
+    the largest charge found so far, and keeps the tables of the bound
+    it accepts. `value` is the edge-cut width, 0 when n is 0.
 
     include(a, b) decides the pairs of one optimal forest in the order
     they are asked: it includes (a, b) when an optimal forest holds it,
     the pairs included so far and none of those excluded, and excludes it
     otherwise. A witness of the decisions so far is kept, one tree per
-    component over its core indices, and two yes answers need no DP
-    query: the pair is in the witness, or swapping it in for a pair on
-    its witness path keeps every charge within the value. `queries`
-    counts the others. Pairs with a peeled end lie in every spanning
-    forest and are always in it.
+    core over its indices, and two yes answers need no DP query: the
+    pair is in the witness, or swapping it in for a pair on its witness
+    path keeps every charge within the value. `queries` counts the
+    others. Pairs with a peeled end lie in every spanning forest and are
+    always in it.
     """
 
     def __init__(self, loops: list[int], pairs: list[tuple[int, int, int]]):
-        n = len(loops)
         self.queries = 0
         loops = loops[:]
-        adj: dict[int, dict[int, int]] = {v: {} for v in range(n)}
-        for a, b, m in pairs:
-            adj[a][b] = adj[b][a] = m
-        low = 0
+        peeled, cores = _cores(len(loops), pairs)
         self.always = set()
-        for v, u, m in _peel_pendants(adj):
-            low = max(low, loops[v] + m - 1)
+        for v, u, m in peeled:
+            loops[v] += m - 1
             loops[u] += m - 1
             self.always.add((min(u, v), max(u, v)))
-        # one (core vertices, DP) per component left with a pair
         self.dps: list[tuple[list[int], _ChargeDP]] = []
         self.home: dict[int, tuple[int, int]] = {}  # vertex: (dps index, core index)
-        seen = [False] * n
-        for r in range(n):
-            if seen[r]:
-                continue
-            seen[r] = True
-            if not adj[r]:  # a vertex alone is charged by its loops only
-                low = max(low, loops[r])
-                continue
-            core = [r]
-            for x in core:
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        core.append(y)
-            core.sort()
-            idx = {v: i for i, v in enumerate(core)}
-            mul = [{idx[y]: m for y, m in adj[v].items()} for v in core]
-            for v, i in idx.items():
+        for core, mul in cores:
+            for i, v in enumerate(core):
                 self.home[v] = len(self.dps), i
-            dp = _ChargeDP(mul, [loops[v] for v in core])
+            self.dps.append((core, _ChargeDP(mul, [loops[v] for v in core])))
+        # a vertex outside every core is charged by its loops only
+        low = max((c for v, c in enumerate(loops) if v not in self.home), default=0)
+        for _, dp in self.dps:
             low = dp.least_bound(low)
-            self.dps.append((core, dp))
-        self.value = low + 1 if n else 0
+        self.value = low + 1 if loops else 0
         self.trees = [dp.tree() for _, dp in self.dps]
 
     def include(self, a: int, b: int) -> bool:
@@ -111,67 +93,23 @@ class ForestOracle:
         return False
 
     def _swap(self, at: int, x: int, y: int) -> bool:
-        """Whether some pair not required on the witness path from x to y
-        can leave component at's witness tree for (x, y) with every
-        charge at most value - 1; the first such tree becomes the witness.
+        """Whether some pair not required on the witness path from y to x
+        can leave core at's witness tree for (x, y) with every charge at
+        most value - 1; the first such tree becomes the witness.
 
         It spans, holds every required pair and no forbidden one, so it
         witnesses the yes."""
         dp = self.dps[at][1]
         tree = self.trees[at]
-        up = _rooted(dp.k, tree, x)[0]
-        v = y
-        while v != x:
-            u = up[v]
+        path = _path_vertices(*_forest_paths(range(dp.k), tree), y, x)
+        for v, u in zip(path, path[1:]):
             if not dp.req[u] >> v & 1:
                 swapped = tree - {(min(u, v), max(u, v))}
                 swapped.add((x, y))
-                if _charges_within(dp, swapped, self.value - 1):
+                if _top_charge(dp.loops, dp.pairs, swapped, self.value - 1) < self.value:
                     self.trees[at] = swapped
                     return True
-            v = u
         return False
-
-
-def _rooted(k: int, tree, root: int) -> tuple[list[int], list[int]]:
-    """Parent (root: itself) and depth lists of a tree given as pairs
-    over vertices 0..k-1, rooted at root."""
-    adj: list[list[int]] = [[] for _ in range(k)]
-    for u, v in tree:
-        adj[u].append(v)
-        adj[v].append(u)
-    up = [-1] * k
-    depth = [0] * k
-    up[root] = root
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if up[v] < 0:
-                up[v] = u
-                depth[v] = depth[u] + 1
-                stack.append(v)
-    return up, depth
-
-
-def _charges_within(dp: _ChargeDP, tree, bound: int) -> bool:
-    """Whether every vertex of dp's graph is charged at most bound by the
-    spanning tree given as pairs (u, v), u < v, over its indices."""
-    up, depth = _rooted(dp.k, tree, 0)
-    charge = dp.loops[:]
-    for u, ms in enumerate(dp.mul):
-        for v, m in ms.items():
-            if v < u:
-                continue
-            if (u, v) in tree:  # the spare copies charge the ends alone
-                path, m = (u, v), m - 1
-            else:
-                path = _path_vertices(up, depth, u, v)
-            for z in path:
-                charge[z] += m
-                if charge[z] > bound:
-                    return False
-    return True
 
 
 def _drive(gen):
@@ -228,6 +166,7 @@ class _ChargeDP:
         self.mul = mul
         self.loops = loops
         self.k = len(mul)
+        self.pairs = [(x, y, m) for x, ms in enumerate(mul) for y, m in ms.items() if x < y]
         self.full = (1 << self.k) - 1
         self.nbr = [sum(1 << y for y in ms) for ms in mul]
         self.deg = [sum(ms.values()) for ms in mul]

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 negative decision (EDP "no", approximation
-"no"), 2 input or validation errors, 3 budget or size-limit errors.
+"no"), 2 input or validation errors, 3 budget, size-limit or
+out-of-memory errors.
 """
 from __future__ import annotations
 
@@ -262,8 +263,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return _dispatch(args)
-    except (BudgetExceededError, SizeLimitError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (BudgetExceededError, SizeLimitError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -17,7 +17,8 @@ branch-and-bound of tests/reference.py.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .multigraph import MultiGraph, _norm
@@ -62,7 +63,7 @@ def validate_witness(w: SpanningWitness) -> list[str]:
         return out
     # a forest with c trees has n - c edges; it is maximal iff c is the
     # host's component count
-    parent, _ = _forest_paths(w.host, w.forest)
+    parent, _ = _forest_paths(w.host.sorted_vertices(), w.forest)
     trees = sum(p is None for p in parent.values())
     if len(w.forest) != len(parent) - trees or trees != len(w.host.components()):
         out.append("forest is not a maximal spanning forest of the host")
@@ -70,22 +71,23 @@ def validate_witness(w: SpanningWitness) -> list[str]:
 
 
 def _forest_paths(
-    host: MultiGraph, forest: Iterable[EdgePair]
+    vertices: Iterable[int], forest: Iterable[EdgePair]
 ) -> tuple[dict[int, int | None], dict[int, int]]:
-    """Parent and depth maps of the forest rooted per component.
+    """Parent and depth maps of a forest over the ascending vertices,
+    rooted per component.
 
-    A DFS runs from each unreached host vertex in ascending order, marks
-    a vertex when it is pushed and takes neighbours in the order the
-    edges list them. Roots, the least vertex of each component, are the
+    A DFS runs from each unreached vertex in ascending order, marks a
+    vertex when it is pushed and takes neighbours in the order the edges
+    list them. Roots, the least vertex of each component, are the
     vertices whose parent is None; they enter the maps in ascending order.
     """
-    adj: dict[int, list[int]] = {v: [] for v in host.vertices()}
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
     for u, v in forest:
         adj[u].append(v)
         adj[v].append(u)
     parent: dict[int, int | None] = {}
     depth: dict[int, int] = {}
-    for r in host.sorted_vertices():
+    for r in adj:
         if r in parent:
             continue
         parent[r] = None
@@ -111,29 +113,43 @@ def _lca(parent, depth, u: int, v: int) -> int:
     return u
 
 
-def _path_vertices(parent, depth, u: int, v: int) -> set[int]:
-    """Vertices on the forest path between u and v, endpoints included."""
-    top = _lca(parent, depth, u, v)
-    path = {top}
-    for x in (u, v):
-        while x != top:
-            path.add(x)
-            x = parent[x]
-    return path
+def _path_vertices(parent, depth, u: int, v: int) -> list[int]:
+    """Vertices on the forest path from u to v, in order, endpoints included."""
+    head, tail = [u], [v]
+    while u != v:
+        if depth[u] >= depth[v]:
+            u = parent[u]
+            head.append(u)
+        else:
+            v = parent[v]
+            tail.append(v)
+    return head + tail[-2::-1]
 
 
-def _charges(host: MultiGraph, forest) -> dict[int, int]:
-    """Per-vertex count of non-forest edge copies whose path crosses it."""
-    parent, depth = _forest_paths(host, forest)
-    charge = {v: 0 for v in host.vertices()}
-    fset = set(forest)
-    for u, v, m in host.edge_pairs():
-        copies = m if u == v else m - (1 if (u, v) in fset else 0)
-        if copies <= 0:
-            continue
-        for x in _path_vertices(parent, depth, u, v):
-            charge[x] += copies
-    return charge
+def _top_charge(loops: list[int], pairs, forest, bound: float = math.inf) -> int:
+    """The largest charge a maximal spanning forest puts on a vertex, or
+    the first charge found above bound.
+
+    The multigraph is over vertices 0..n-1: loops[x] counts the loops at
+    x and pairs are its distinct non-loop pairs (a, b, multiplicity),
+    a < b. forest is a set of pairs (a, b), a < b. A forest pair's spare
+    copies charge its two ends alone.
+    """
+    parent, depth = _forest_paths(range(len(loops)), forest)
+    charge = loops[:]
+    top = max(loops, default=0)
+    for u, v, m in pairs:
+        if (u, v) in forest:
+            path, m = (u, v), m - 1
+        else:
+            path = _path_vertices(parent, depth, u, v)
+        for z in path:
+            charge[z] += m
+            if charge[z] > top:
+                top = charge[z]
+                if top > bound:
+                    return top
+    return top
 
 
 def local_feedback_set(
@@ -147,7 +163,7 @@ def local_feedback_set(
     """
     if not h.has_vertex(v):
         raise KeyError(f"vertex {v} not in host")
-    parent, depth = _forest_paths(h, t)
+    parent, depth = _forest_paths(h.sorted_vertices(), t)
     fset = set(t)
     out = set()
     for u, w, m in h.edge_pairs():
@@ -163,7 +179,9 @@ def ecw_value(h: MultiGraph, t: frozenset[EdgePair] | set[EdgePair]) -> int:
     """1 + max vertex charge; 0 for the empty graph by convention."""
     if h.num_vertices() == 0:
         return 0
-    return 1 + max(_charges(h, t).values())
+    vs, loops, pairs = _indexed(h)
+    idx = {v: i for i, v in enumerate(vs)}
+    return 1 + _top_charge(loops, pairs, {(idx[u], idx[v]) for u, v in t})
 
 
 def witness_ecw(w: SpanningWitness) -> int:
@@ -198,12 +216,24 @@ def _det_int(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _peel_pendants(adj: dict[int, dict[int, int]]) -> Iterator[tuple[int, int, int]]:
-    """Peel the pendant vertices off a loopless adjacency of multiplicities,
-    in place, and yield (v, u, m) for each: v had one distinct neighbour u,
-    joined by m copies, and is left with none. A neighbour left pendant is
-    peeled in turn, so a tree component peels down to one vertex."""
-    pendant = [v for v in sorted(adj) if len(adj[v]) == 1]
+def _cores(
+    n: int, pairs: list[tuple[int, int, int]]
+) -> tuple[list[tuple[int, int, int]], list[tuple[list[int], list[dict[int, int]]]]]:
+    """Peel the pendant vertices off the loopless multigraph on 0..n-1
+    with the distinct pairs (a, b, multiplicity), until none is left, and
+    split the rest into cores.
+
+    A pendant vertex v, with one distinct neighbour u joined by m copies,
+    is listed as (v, u, m); a tree component peels down to one vertex.
+    Each component left with a pair is a core, in the order of least
+    vertices: its vertices ascending, and per vertex the multiplicity to
+    each neighbour, by core index. Peeling never disconnects a component.
+    """
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for a, b, m in pairs:
+        adj[a][b] = adj[b][a] = m
+    peeled = []
+    pendant = [v for v in range(n) if len(adj[v]) == 1]
     while pendant:
         v = pendant.pop()
         if len(adj[v]) != 1:  # its neighbour was peeled before it
@@ -213,7 +243,23 @@ def _peel_pendants(adj: dict[int, dict[int, int]]) -> Iterator[tuple[int, int, i
         del adj[u][v]
         if len(adj[u]) == 1:
             pendant.append(u)
-        yield v, u, m
+        peeled.append((v, u, m))
+    cores = []
+    seen = [False] * n
+    for r in range(n):
+        if seen[r] or not adj[r]:
+            continue
+        seen[r] = True
+        core = [r]
+        for x in core:
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    core.append(y)
+        core.sort()
+        idx = {v: i for i, v in enumerate(core)}
+        cores.append((core, [{idx[y]: m for y, m in adj[v].items()} for v in core]))
+    return peeled, cores
 
 
 def spanning_tree_count(g: MultiGraph) -> int:
@@ -222,28 +268,18 @@ def spanning_tree_count(g: MultiGraph) -> int:
 
     Pendant vertices are peeled first: every spanning tree uses one of
     the m copies to the neighbour, so each peel multiplies the count by m.
-    The determinant runs only on what is left of each component.
+    The determinant runs only on the cores left.
     """
-    adj: dict[int, dict[int, int]] = {v: {} for v in g.vertices()}
-    for u, v, m in g.edge_pairs():
-        if u != v:
-            adj[u][v] = adj[v][u] = m
-    total = 1
-    for _, _, m in _peel_pendants(adj):
-        total *= m
-    for comp in g.components():
-        # peeling never disconnects what is left of a component
-        vs = sorted(v for v in comp if adj[v])
-        if not vs:
-            continue
-        idx = {v: i for i, v in enumerate(vs)}
-        n = len(vs)
+    vs, _, pairs = _indexed(g)
+    peeled, cores = _cores(len(vs), pairs)
+    total = math.prod(m for _, _, m in peeled)
+    for core, mul in cores:
+        n = len(core)
         lap = [[0] * n for _ in range(n)]
-        for u in vs:
-            iu = idx[u]
-            for v, m in adj[u].items():
-                lap[iu][iu] += m
-                lap[iu][idx[v]] -= m
+        for a, ms in enumerate(mul):
+            for b, m in ms.items():
+                lap[a][a] += m
+                lap[a][b] -= m
         total *= _det_int([row[1:] for row in lap[1:]])
     return total
 
@@ -348,7 +384,7 @@ def sec_upper(
         w = decomposition_to_witness(g, d)
         candidates.append((witness_ecw(w), w))
     if not candidates:
-        parent, _ = _forest_paths(g, [(u, v) for u, v, _ in g.edge_pairs()])
+        parent, _ = _forest_paths(g.sorted_vertices(), [(u, v) for u, v, _ in g.edge_pairs()])
         forest = frozenset(_norm(v, p) for v, p in parent.items() if p is not None)
         candidates.append((ecw_value(g, forest), SpanningWitness(g.copy(), g.copy(), forest)))
     return min(candidates, key=lambda c: c[0])

@@ -63,7 +63,7 @@ def _solve_dp(g: MultiGraph, w: SpanningWitness, pairs) -> tuple[bool, int]:
         need[t] ^= 1 << i
     masks = [[x for x in range(1 << k) if x.bit_count() <= m] for m in range(k + 1)]
 
-    parent, depth = _forest_paths(w.host, w.forest)
+    parent, depth = _forest_paths(w.host.sorted_vertices(), w.forest)
     # per pair, its lowest common ancestor and whether that is an end;
     # per vertex, the pairs whose other end lies outside its subtree
     low: list[int] = []

@@ -10,6 +10,7 @@ shape around them.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import combinations
 
 from .decomposition import TreeCutDecomposition, _center_size as _center_kernel
@@ -53,8 +54,7 @@ def _width_at_most(
     if variant not in VARIANT_LEVEL:
         raise ValueError(f"variant must be one of {sorted(VARIANT_LEVEL)}")
     n = g.num_vertices()
-    if n > max_vertices:
-        raise SizeLimitError(f"{n} vertices exceed the search limit {max_vertices}")
+    _check_size(n, max_vertices)
     if n == 0:
         return (0, TreeCutDecomposition(0, {0: None}, {0: set()})) if bound >= 0 else None
     search = _Search(g, VARIANT_LEVEL[variant])
@@ -63,6 +63,16 @@ def _width_at_most(
         if plan is not None:
             return w, plan
     return None
+
+
+def _check_size(n: int, max_vertices: int) -> None:
+    """Refuse n vertices above max_vertices, or too many to index a table
+    of 2^n entries on this platform."""
+    if n > max_vertices:
+        raise SizeLimitError(f"{n} vertices exceed the search limit {max_vertices}")
+    if n >= sys.maxsize.bit_length():
+        raise SizeLimitError(f"{n} vertices need a table of 2^{n} entries, "
+                             "more than this platform can index")
 
 
 class _Search:
@@ -269,8 +279,7 @@ def exact_treewidth(g: MultiGraph, max_vertices: int = 14) -> int:
     Returns 0 for graphs with at most one vertex.
     """
     n = g.num_vertices()
-    if n > max_vertices:
-        raise SizeLimitError(f"{n} vertices exceed the search limit {max_vertices}")
+    _check_size(n, max_vertices)
     if n <= 1:
         return 0
     idx = {v: i for i, v in enumerate(g.sorted_vertices())}

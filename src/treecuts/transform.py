@@ -374,7 +374,7 @@ def witness_to_decomposition(w: SpanningWitness) -> TreeCutDecomposition:
     if problems:
         raise ValueError(f"invalid witness: {problems}")
     base_vs = w.base_graph.vertices()
-    parent, _ = _forest_paths(w.host, w.forest)
+    parent, _ = _forest_paths(w.host.sorted_vertices(), w.forest)
     roots = [v for v, p in parent.items() if p is None]
     bags = {v: ({v} & base_vs) for v in w.host.vertices()}
     if w.host.num_vertices() == 0:

@@ -1,5 +1,6 @@
 import json
 
+from treecuts import cli
 from treecuts.cli import main
 
 
@@ -73,6 +74,28 @@ def test_oracle_size_limit_exit(tmp_path, capsys):
     run(capsys, "gen", "--family", "wall", "--r", "3", "-o", gpath)
     code, _, err = run(capsys, "oracle", gpath, "--variant", "tcw")
     assert code == 3
+
+
+def test_oracle_past_index_width_exits_3(tmp_path, capsys):
+    # 64 vertices pass --max-vertices 64, but a table of 2^64 cut sizes
+    # cannot be indexed: refused before anything is allocated
+    gpath = str(tmp_path / "g.txt")
+    run(capsys, "gen", "--family", "ladder", "--r", "32", "-o", gpath)
+    code, out, err = run(capsys, "oracle", gpath, "--variant", "tcw", "--max-vertices", "64")
+    assert code == 3 and out == ""
+    assert err.startswith("error: 64 vertices") and err.count("\n") == 1
+
+
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "exact_width", exhausted)
+    gpath = str(tmp_path / "g.txt")
+    run(capsys, "gen", "--family", "star", "--r", "3", "-o", gpath)
+    code, out, err = run(capsys, "oracle", gpath, "--variant", "tcw")
+    assert code == 3 and out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_edge_list_size_limit_exit(tmp_path, capsys):

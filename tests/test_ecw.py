@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecuts import chargedp, ecw
+from treecuts import chargedp
 from treecuts.chargedp import ForestOracle, _ChargeDP
 from treecuts.ecw import (
     BudgetExceededError,
@@ -15,6 +15,7 @@ from treecuts.ecw import (
     SpanningWitness,
     _indexed,
     _least_forest,
+    _top_charge,
     ecw_value,
     exact_ecw,
     feedback_edge_number,
@@ -343,7 +344,7 @@ def test_constrained_charge_dp_matches_brute_force(g, data):
     trees = []  # (pair set, max charge) of every spanning tree
     for tree in itertools.combinations([(a, b) for a, b, _ in pairs], n - 1):
         if MultiGraph(range(n), tree).is_connected():
-            trees.append((set(tree), max(ecw._charges(g, set(tree)).values())))
+            trees.append((set(tree), ecw_value(g, set(tree)) - 1))
     optimum = min(top for _, top in trees)
     bound = data.draw(st.integers(optimum - 1, optimum + 2), label="bound")
     dp = _ChargeDP(mul, loops)
@@ -360,6 +361,35 @@ def test_constrained_charge_dp_matches_brute_force(g, data):
         assert dp.feasible(bound) == bool(fits), (fixed, bound)
         if fits:
             assert dp.tree() in fits
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_loopy_multigraphs(), st.data())
+def test_charge_walk_matches_local_feedback_sets(g, data):
+    # a random spanning tree, taken greedily from a random pair order;
+    # local_feedback_set lists the copies charging each vertex one by one
+    _, loops, pairs = _indexed(g)
+    root = list(range(g.num_vertices()))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    tree = set()
+    for a, b in data.draw(st.permutations([(a, b) for a, b, _ in pairs]), label="order"):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
+            tree.add((a, b))
+    top = max(len(local_feedback_set(g, tree, v)) for v in g.vertices())
+    assert ecw_value(g, tree) == 1 + top
+    assert _top_charge(loops, pairs, tree) == top
+    bound = data.draw(st.integers(-1, top + 1), label="bound")
+    bounded = _top_charge(loops, pairs, tree, bound)
+    assert (bounded > bound) == (top > bound)
+    if top <= bound:
+        assert bounded == top
 
 
 def witness_forest(oracle: ForestOracle) -> set[EdgePair]:
