@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Reach table of exact_ecw's two phases.
 
-For each graph, print the edge-cut width found by the charge DP, the
-time of the DP, the time of the find phase that then asks the DP about
+For each graph, print the vertices left in the DP's cores by the pendant
+peel alone and by the peel and series reduction that `ForestOracle`
+alternates, the edge-cut width found by the charge DP, the time of the
+DP, the time of the find phase that then asks the DP about
 each pair in lex order for the lex-least forest reaching that value, the
 number of DP queries it made, the peak memory of the two phases, and
 the time of the branch-and-bound of tests/reference.py, which has to
@@ -25,7 +27,7 @@ import tracemalloc
 from pathlib import Path
 
 from treecuts.chargedp import ForestOracle
-from treecuts.ecw import _indexed, _least_forest, spanning_tree_count
+from treecuts.ecw import _cores, _indexed, _least_forest, spanning_tree_count
 from treecuts.families import ladder, wall
 from treecuts.multigraph import MultiGraph
 
@@ -33,8 +35,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from reference import least_forest  # noqa: E402
 
 LADDERS = (8, 10, 12, 16, 20, 30, 40, 60, 80)
-WALLS = (3, 4, 5, 6, 7)
-RANDOM_SIZES = (14, 16, 18, 20, 22, 24, 26, 28, 30)
+WALLS = (3, 4, 5, 6, 7, 8, 9, 10)
+RANDOM_SIZES = (14, 16, 18, 20, 22, 24, 26, 28, 30, 40, 44, 50)
 
 
 class PhaseTimeout(Exception):
@@ -108,12 +110,13 @@ def main() -> int:
     args = ap.parse_args()
     signal.signal(signal.SIGALRM, _alarm)
 
-    print("| graph | n | copies | spanning trees | ecw | DP s | find s | DP queries "
+    print("| graph | n | copies | spanning trees | core n | ecw | DP s | find s | DP queries "
           "| peak MB | reference search s | same forest |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
     failed = False
     for name, g in graphs(args.seed):
         _, loops, pairs = _indexed(g)
+        peeled = sum(len(core) for core, _ in _cores(len(loops), pairs)[1])
         oracle, dp_s = timed(args.limit, ForestOracle, loops, pairs)
         found = find_s = None
         if oracle is not None:
@@ -121,6 +124,7 @@ def main() -> int:
             if chosen is not None:
                 found = oracle.value, tuple(chosen)
         queries = "-" if oracle is None else oracle.queries
+        reduced = "-" if oracle is None else sum(len(core) for core, _ in oracle.dps)
         peak = None if found is None else peak_mb(args.limit, loops, pairs)
         mb = "-" if peak is None else f"{peak:.1f}"
         plain, plain_s = timed(args.limit, least_forest, loops, pairs)
@@ -131,7 +135,7 @@ def main() -> int:
             failed |= found != plain
         value = "-" if oracle is None else oracle.value
         print(f"| {name} | {g.num_vertices()} | {g.num_edges()} "
-              f"| {spanning_tree_count(g)} | {value} | {secs(dp_s)} "
+              f"| {spanning_tree_count(g)} | {peeled} → {reduced} | {value} | {secs(dp_s)} "
               f"| {secs(find_s)} | {queries} | {mb} | {secs(plain_s)} | {same} |", flush=True)
     return 1 if failed else 0
 

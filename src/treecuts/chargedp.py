@@ -15,16 +15,24 @@ charge at most K" over connected vertex sets of small cut. The same
 decision takes pairs required in the tree or forbidden, and an accepted
 one expands into a tree.
 
-`ForestOracle` runs one DP per core that `ecw._cores` leaves, keeps the
+`ForestOracle` first shrinks the graph by two reductions that keep the
+edge-cut width, in turns until neither applies: `ecw._peel` peels pendant
+vertices, and series reduction suppresses a loopless vertex with two
+distinct neighbours, one copy to each, into a copy of the pair it
+joins. It runs one DP per core that `ecw._split` then leaves, keeps the
 tables of the optimum and a witness tree, and answers pair by pair
-whether an optimal forest holds the pairs asked so far. `ecw.exact_ecw`
-takes the value from it and keeps, in lex order, each pair it answers
-yes to. Swaps are rooted and charged by `ecw._forest_paths` and
+whether an optimal forest holds the pairs asked so far. The copies of a
+reduced pair come in units, an original pair or the chain of original
+pairs of one suppressed path, and the answers for a chain's pairs follow
+from the one fact the DP decides for it: whether the tree holds its
+copy. `ecw.exact_ecw` takes the value from the oracle and keeps, in lex
+order, each pair it answers yes to. Swaps are rooted and charged by `ecw._forest_paths` and
 `ecw._top_charge`, as every other forest is.
 """
 from __future__ import annotations
 
-from .ecw import _cores, _forest_paths, _path_vertices, _top_charge
+from .ecw import _forest_paths, _path_vertices, _peel, _split, _top_charge
+from .multigraph import _norm
 
 
 class ForestOracle:
@@ -32,37 +40,90 @@ class ForestOracle:
     asked about pair by pair.
 
     loops[x] counts the loops at x and pairs are the distinct non-loop
-    pairs (a, b, multiplicity), as `ecw._indexed` gives them. `ecw._cores`
-    peels the pendant vertices, those with one distinct loopless
-    neighbour, first: a pendant vertex v with m copies to u is a leaf of
-    every spanning tree, and its m - 1 spare copies charge v and u alone,
-    like loops at both. One `_ChargeDP` then runs on each core left, from
-    the largest charge found so far, and keeps the tables of the bound
-    it accepts. `value` is the edge-cut width, 0 when n is 0.
+    pairs (a, b, multiplicity), as `ecw._indexed` gives them. Two
+    reductions keep the edge-cut width and alternate until neither
+    applies. `ecw._peel` peels a pendant vertex v, with m copies to its one
+    distinct neighbour u: v is a leaf of every spanning tree, and its
+    m - 1 spare copies charge v and u alone, like loops at both. Series
+    reduction suppresses a loopless vertex v with two distinct neighbours
+    a and b, one copy to each, into one more copy of (a, b): a tree holds
+    both of v's pairs, and v is then charged by paths that pass a and b
+    too, or one of them, and v is a leaf charged 1 by a spare copy whose
+    path is the tree's a-b path. One `_ChargeDP` then runs on each core
+    that `ecw._split` leaves, from the largest charge found so far, and
+    keeps the tables of the bound it accepts. `value` is the edge-cut
+    width, 0 when n is 0.
+
+    The copies of a reduced pair come in units: an original pair, with
+    all of its copies, or a chain, the original pairs of one suppressed
+    path, which is one copy. A tree holds at most one copy of a pair,
+    and the copies are interchangeable: every charge is the same
+    whichever of them the tree holds, and whichever pair of each other
+    chain it leaves out.
 
     include(a, b) decides the pairs of one optimal forest in the order
     they are asked: it includes (a, b) when an optimal forest holds it,
     the pairs included so far and none of those excluded, and excludes it
-    otherwise. A witness of the decisions so far is kept, one tree per
-    core over its indices, and two yes answers need no DP query: the
-    pair is in the witness, or swapping it in for a pair on its witness
-    path keeps every charge within the value. `queries` counts the
-    others. Pairs with a peeled end lie in every spanning forest and are
-    always in it.
+    otherwise. A chain pair is a yes, with no question, while another
+    pair of its chain is not yet included. The last one, and an original
+    pair, ask for their reduced pair, which is undecided, taken or
+    forbidden: asking a decided pair is a no, since a forbidden copy
+    forbids all of them. Otherwise a peeled pair is a yes, and a core pair
+    asks its DP. A witness of the decisions so far is kept, one tree per
+    core over its indices (`forest` maps it back), and two yes answers
+    need no DP query: the pair is in the witness, or swapping it in for a
+    pair on its witness path keeps every charge within the value.
+    `queries` counts the others.
     """
 
     def __init__(self, loops: list[int], pairs: list[tuple[int, int, int]]):
         self.queries = 0
         loops = loops[:]
-        peeled, cores = _cores(len(loops), pairs)
-        self.always = set()
-        for v, u, m in peeled:
-            loops[v] += m - 1
-            loops[u] += m - 1
-            self.always.add((min(u, v), max(u, v)))
+        adj: list[dict[int, int]] = [{} for _ in loops]
+        chains: list[list[tuple[int, int]] | None] = []
+        units: dict[tuple[int, int], list[int]] = {}  # reduced pair: its units
+        for a, b, m in pairs:
+            adj[a][b] = adj[b][a] = m
+            units[a, b] = [len(chains)]
+            chains.append([(a, b)])
+        todo = list(range(len(loops)))  # vertices that may be suppressed
+
+        def peel(vertices) -> None:
+            for v, u, m in _peel(adj, vertices):
+                loops[v] += m - 1
+                loops[u] += m - 1
+                todo.append(u)
+
+        peel(range(len(loops)))
+        while todo:
+            v = todo.pop()
+            if loops[v] or len(adj[v]) != 2:
+                continue
+            (a, ma), (b, mb) = adj[v].items()
+            if ma != 1 or mb != 1:
+                continue
+            # suppress v: its two units join into one chain, in the longer list
+            (ua,), (ub,) = units.pop(_norm(v, a)), units.pop(_norm(v, b))
+            if len(chains[ua]) < len(chains[ub]):
+                ua, ub = ub, ua
+            chains[ua] += chains[ub]
+            chains[ub] = None
+            adj[v].clear()
+            del adj[a][v], adj[b][v]
+            adj[a][b] = adj[b][a] = adj[a].get(b, 0) + 1
+            units.setdefault(_norm(a, b), []).append(ua)
+            todo += a, b
+            peel((a, b))
+        self.units = units
+        self.chains = chains
+        self.open = [c and set(c) for c in chains]  # pairs not yet included
+        self.unit = {p: u for u, c in enumerate(chains) if c for p in c}
+        self.reduced = {u: r for r, us in units.items() for u in us}  # unit: its pair
+        self.always = {(a, b) for a, b in units if b not in adj[a]}  # peeled pairs
+        self.decided: dict[tuple[int, int], int | None] = {}  # taken unit, None if forbidden
         self.dps: list[tuple[list[int], _ChargeDP]] = []
         self.home: dict[int, tuple[int, int]] = {}  # vertex: (dps index, core index)
-        for core, mul in cores:
+        for core, mul in _split(adj):
             for i, v in enumerate(core):
                 self.home[v] = len(self.dps), i
             self.dps.append((core, _ChargeDP(mul, [loops[v] for v in core])))
@@ -77,8 +138,24 @@ class ForestOracle:
         """Whether an optimal forest holds the pair (a, b), a < b, the
         pairs included so far and none of those excluded; the pair is
         then included, and excluded otherwise."""
-        if (a, b) in self.always:
+        u = self.unit[a, b]
+        left = self.open[u]
+        if len(left) > 1:
+            left.remove((a, b))
             return True
+        r = self.reduced[u]
+        if r in self.decided:
+            return False
+        yes = r in self.always or self._ask(*r)
+        self.decided[r] = u if yes else None
+        if yes:
+            left.clear()
+        return yes
+
+    def _ask(self, a: int, b: int) -> bool:
+        """Whether an optimal forest holds a copy of the core pair (a, b)
+        and the copies decided so far; the DP then requires it, and
+        forbids it otherwise."""
         at, x = self.home[a]
         y = self.home[b][1]
         dp = self.dps[at][1]
@@ -91,6 +168,37 @@ class ForestOracle:
             return True
         dp.fix(x, y, False)
         return False
+
+    def forest(self) -> set[tuple[int, int]]:
+        """The witness of the decisions so far, over the original pairs.
+
+        A reduced pair the witness holds, peeled or in a core's tree, is
+        held by its taken unit or, while undecided, by the unit a walk in
+        lex order asks it for first: the one whose greatest pair not yet
+        included is least. A chain held that way has all its pairs, and
+        every other chain leaves out its greatest pair not yet included."""
+        out = set()
+        opens = self.open
+        for r, us in self.units.items():
+            if r in self.decided:
+                held = self.decided[r]
+            elif r in self.always or self._held(r):
+                held = min(us, key=lambda u: max(opens[u]))
+            else:
+                held = None
+            for u in us:
+                chain = self.chains[u]
+                if u == held:
+                    out.update(chain)
+                elif len(chain) > 1:
+                    out.update(chain)
+                    out.discard(max(opens[u]))
+        return out
+
+    def _held(self, r: tuple[int, int]) -> bool:
+        """Whether the witness tree of its core holds the core pair r."""
+        at, x = self.home[r[0]]
+        return (x, self.home[r[1]][1]) in self.trees[at]
 
     def _swap(self, at: int, x: int, y: int) -> bool:
         """Whether some pair not required on the witness path from y to x

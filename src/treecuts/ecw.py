@@ -95,10 +95,11 @@ def _forest_paths(
         stack = [r]
         while stack:
             u = stack.pop()
+            below = depth[u] + 1
             for x in adj[u]:
                 if x not in parent:
                     parent[x] = u
-                    depth[x] = depth[u] + 1
+                    depth[x] = below
                     stack.append(x)
     return parent, depth
 
@@ -133,13 +134,15 @@ def _top_charge(loops: list[int], pairs, forest, bound: float = math.inf) -> int
     The multigraph is over vertices 0..n-1: loops[x] counts the loops at
     x and pairs are its distinct non-loop pairs (a, b, multiplicity),
     a < b. forest is a set of pairs (a, b), a < b. A forest pair's spare
-    copies charge its two ends alone.
+    copies charge its two ends alone, so a single forest copy charges none.
     """
     parent, depth = _forest_paths(range(len(loops)), forest)
     charge = loops[:]
     top = max(loops, default=0)
     for u, v, m in pairs:
         if (u, v) in forest:
+            if m == 1:
+                continue
             path, m = (u, v), m - 1
         else:
             path = _path_vertices(parent, depth, u, v)
@@ -223,17 +226,25 @@ def _cores(
     with the distinct pairs (a, b, multiplicity), until none is left, and
     split the rest into cores.
 
-    A pendant vertex v, with one distinct neighbour u joined by m copies,
-    is listed as (v, u, m); a tree component peels down to one vertex.
-    Each component left with a pair is a core, in the order of least
-    vertices: its vertices ascending, and per vertex the multiplicity to
-    each neighbour, by core index. Peeling never disconnects a component.
+    The peeled vertices come as `_peel` lists them and the cores as
+    `_split` builds them. Peeling never disconnects a component.
     """
     adj: list[dict[int, int]] = [{} for _ in range(n)]
     for a, b, m in pairs:
         adj[a][b] = adj[b][a] = m
+    peeled = _peel(adj, range(n))
+    return peeled, _split(adj)
+
+
+def _peel(adj: list[dict[int, int]], todo: Iterable[int]) -> list[tuple[int, int, int]]:
+    """Peel the pendant vertices among todo off the adjacency adj, in
+    place, and those that peeling them leaves pendant.
+
+    A pendant vertex v, with one distinct neighbour u joined by m copies,
+    is listed as (v, u, m); a tree component peels down to one vertex.
+    """
     peeled = []
-    pendant = [v for v in range(n) if len(adj[v]) == 1]
+    pendant = [v for v in todo if len(adj[v]) == 1]
     while pendant:
         v = pendant.pop()
         if len(adj[v]) != 1:  # its neighbour was peeled before it
@@ -244,9 +255,16 @@ def _cores(
         if len(adj[u]) == 1:
             pendant.append(u)
         peeled.append((v, u, m))
+    return peeled
+
+
+def _split(adj: list[dict[int, int]]) -> list[tuple[list[int], list[dict[int, int]]]]:
+    """The components of the adjacency adj that hold a pair, in the order
+    of least vertices: each one's vertices ascending, and per vertex the
+    multiplicity to each neighbour, by index in the component."""
     cores = []
-    seen = [False] * n
-    for r in range(n):
+    seen = [False] * len(adj)
+    for r in range(len(adj)):
         if seen[r] or not adj[r]:
             continue
         seen[r] = True
@@ -259,23 +277,29 @@ def _cores(
         core.sort()
         idx = {v: i for i, v in enumerate(core)}
         cores.append((core, [{idx[y]: m for y, m in adj[v].items()} for v in core]))
-    return peeled, cores
+    return cores
 
 
 def spanning_tree_count(g: MultiGraph) -> int:
     """Number of spanning forests maximal in g, counting parallel copies
-    as distinct (matrix-tree theorem per component; loops ignored).
+    as distinct (matrix-tree theorem per component; loops ignored)."""
+    vs, _, pairs = _indexed(g)
+    return _tree_count(len(vs), pairs)
+
+
+def _tree_count(n: int, pairs: list[tuple[int, int, int]]) -> int:
+    """`spanning_tree_count` of the multigraph on 0..n-1 with the distinct
+    non-loop pairs (a, b, multiplicity).
 
     Pendant vertices are peeled first: every spanning tree uses one of
     the m copies to the neighbour, so each peel multiplies the count by m.
     The determinant runs only on the cores left.
     """
-    vs, _, pairs = _indexed(g)
-    peeled, cores = _cores(len(vs), pairs)
+    peeled, cores = _cores(n, pairs)
     total = math.prod(m for _, _, m in peeled)
     for core, mul in cores:
-        n = len(core)
-        lap = [[0] * n for _ in range(n)]
+        k = len(core)
+        lap = [[0] * k for _ in range(k)]
         for a, ms in enumerate(mul):
             for b, m in ms.items():
                 lap[a][a] += m
@@ -295,7 +319,8 @@ def exact_ecw(g: MultiGraph, budget: int = 10**6) -> tuple[int, SpanningWitness]
     """
     if g.num_vertices() == 0:
         return 0, SpanningWitness(g.copy(), g.copy(), frozenset())
-    count = spanning_tree_count(g)
+    vs, loops, pairs = _indexed(g)
+    count = _tree_count(len(vs), pairs)
     if count > budget:
         raise BudgetExceededError(
             f"{count} spanning trees exceed the enumeration budget {budget}"
@@ -303,7 +328,6 @@ def exact_ecw(g: MultiGraph, budget: int = 10**6) -> tuple[int, SpanningWitness]
     # imported on first use: most callers of this module never need the DP
     from .chargedp import ForestOracle
 
-    vs, loops, pairs = _indexed(g)
     oracle = ForestOracle(loops, pairs)
     chosen = _least_forest(len(vs), pairs, oracle)
     forest = frozenset((vs[a], vs[b]) for a, b in chosen)

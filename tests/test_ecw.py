@@ -13,6 +13,7 @@ from treecuts.ecw import (
     BudgetExceededError,
     EdgePair,
     SpanningWitness,
+    _cores,
     _indexed,
     _least_forest,
     _top_charge,
@@ -392,21 +393,11 @@ def test_charge_walk_matches_local_feedback_sets(g, data):
         assert bounded == top
 
 
-def witness_forest(oracle: ForestOracle) -> set[EdgePair]:
-    """The oracle's witness trees over the graph's indices, with the
-    pairs of its peeled pendants."""
-    out = set(oracle.always)
-    for (core, _), tree in zip(oracle.dps, oracle.trees):
-        out |= {(core[x], core[y]) for x, y in tree}
-    return out
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_multigraphs(), st.data())
-def test_forest_oracle_answers_match_brute_force(g, data):
-    # disconnected graphs, loops and peeled pendants included; the pairs
-    # are asked in lex order, some skipped, and none is skipped for
-    # closing a cycle, so those are asked too
+def check_answers_by_brute_force(g: MultiGraph, data) -> None:
+    """The oracle's value, its answer to each pair asked, in lex order
+    with some skipped, and its witness after each answer, against every
+    maximal spanning forest of g. No pair is skipped for closing a cycle,
+    so those are asked too."""
     vs, loops, pairs = _indexed(g)
     n = g.num_vertices()
     comps = len(g.components())
@@ -429,9 +420,71 @@ def test_forest_oracle_answers_match_brute_force(g, data):
         assert oracle.include(a, b) == want, fixed
         fixed[a, b] = want
         # the witness the next answers start from is one of the optima
-        witness = witness_forest(oracle)
+        witness = oracle.forest()
         assert witness in optimal
         assert all((p in witness) == keep for p, keep in fixed.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_multigraphs(), st.data())
+def test_forest_oracle_answers_match_brute_force(g, data):
+    # disconnected graphs, loops and peeled pendants included
+    check_answers_by_brute_force(g, data)
+
+
+@st.composite
+def chained_multigraphs(draw, chains: int = 3, length: int = 2):
+    """Multigraphs that series reduction and the pendant peel take apart
+    in turns: up to four hubs with pairs and loops among them; chains of
+    new vertices between two hubs, parallel ones included, or closing on
+    one hub; at most one whole cycle of new vertices; and pendant paths,
+    single or doubled, hung off chain vertices."""
+    hubs = draw(st.integers(1, 4))
+    hub = st.integers(0, hubs - 1)
+    edges = draw(st.lists(st.tuples(hub, hub), min_size=hubs, max_size=5))
+    n = hubs
+    inner = []
+    for a, b, k in draw(st.lists(st.tuples(hub, hub, st.integers(1, length)),
+                                 min_size=2, max_size=chains)):
+        path = [a, *range(n, n + k), b]
+        n += k
+        inner += path[1:-1]
+        edges += zip(path, path[1:])
+    if draw(st.booleans()):
+        cycle = list(range(n, n + 3))
+        n += 3
+        edges += zip(cycle, cycle[1:] + cycle[:1])
+    for v, m in draw(st.lists(st.tuples(st.sampled_from(inner), st.integers(1, 2)), max_size=2)):
+        edges += [(v, n)] * m
+        n += 1
+    return MultiGraph(range(n), edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(chained_multigraphs(), st.data())
+def test_forest_oracle_answers_match_brute_force_on_chains(g, data):
+    check_answers_by_brute_force(g, data)
+
+
+def unreduced_value(loops: list[int], pairs: list[tuple[int, int, int]]) -> int:
+    """The edge-cut width with the pendant peel alone: one `_ChargeDP`
+    per core that `_cores` leaves, from the largest loop count."""
+    loops = loops[:]
+    peeled, cores = _cores(len(loops), pairs)
+    for v, u, m in peeled:
+        loops[v] += m - 1
+        loops[u] += m - 1
+    low = max(loops, default=0)
+    for core, mul in cores:
+        low = _ChargeDP(mul, [loops[v] for v in core]).least_bound(low)
+    return low + 1 if loops else 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(chained_multigraphs(chains=6, length=4))
+def test_reduced_value_matches_unreduced_dp(g):
+    _, loops, pairs = _indexed(g)
+    assert ForestOracle(loops, pairs).value == unreduced_value(loops, pairs)
 
 
 def escalation_corpus() -> list[MultiGraph]:
@@ -451,7 +504,7 @@ class RecordingOracle:
         self.answers: list[str] = []
 
     def include(self, a: int, b: int) -> bool:
-        held = (a, b) in witness_forest(self.oracle)
+        held = (a, b) in self.oracle.forest()
         queries = self.oracle.queries
         yes = self.oracle.include(a, b)
         if self.oracle.queries > queries:
@@ -564,16 +617,18 @@ def test_memos_hold_fresh_values_after_exact_ecw(monkeypatch):
 
 def test_exact_ecw_long_path_and_cycle_without_recursion():
     # the find loop is flat and the DP keeps its own stack: 1200
-    # included pairs, and a 520-cycle whose DP nests more than 1000
-    # calls deep
+    # included pairs, and a 520-cycle whose DP, run unreduced, nests
+    # more than 1000 calls deep; the oracle reduces it to one vertex
     g = MultiGraph(range(1200), [(i, i + 1) for i in range(1199)])
     val, w = exact_ecw(g)
     assert val == 1
     assert validate_witness(w) == []
     cycle = MultiGraph(range(520), [(i, (i + 1) % 520) for i in range(520)])
     _, loops, pairs = _indexed(cycle)
+    assert unreduced_value(loops, pairs) == 2
     oracle = ForestOracle(loops, pairs)
     assert oracle.value == 2
+    assert not oracle.dps
     # every pair but the last in lex order, (518, 519), which closes the cycle
     assert _least_forest(520, pairs, oracle) == [(a, b) for a, b, _ in pairs[:-1]]
 
