@@ -26,12 +26,12 @@ reduced pair come in units, an original pair or the chain of original
 pairs of one suppressed path, and the answers for a chain's pairs follow
 from the one fact the DP decides for it: whether the tree holds its
 copy. `ecw.exact_ecw` takes the value from the oracle and keeps, in lex
-order, each pair it answers yes to. Swaps are rooted and charged by `ecw._forest_paths` and
-`ecw._top_charge`, as every other forest is.
+order, each pair it answers yes to. Swaps are rooted and charged by
+`ecw._forest_paths` and `ecw._top_charge`, as every other forest is.
 """
 from __future__ import annotations
 
-from .ecw import _forest_paths, _path_vertices, _peel, _split, _top_charge
+from .ecw import EdgePair, _forest_paths, _path_vertices, _peel, _split, _top_charge
 from .multigraph import _norm
 
 
@@ -40,8 +40,8 @@ class ForestOracle:
     asked about pair by pair.
 
     loops[x] counts the loops at x and pairs are the distinct non-loop
-    pairs (a, b, multiplicity), as `ecw._indexed` gives them. Two
-    reductions keep the edge-cut width and alternate until neither
+    pairs (a, b, multiplicity), as `ecw._indexed` gives them. `_reduce`
+    alternates two reductions that keep the edge-cut width until neither
     applies. `ecw._peel` peels a pendant vertex v, with m copies to its one
     distinct neighbour u: v is a leaf of every spanning tree, and its
     m - 1 spare copies charge v and u alone, like loops at both. Series
@@ -57,7 +57,7 @@ class ForestOracle:
     The copies of a reduced pair come in units: an original pair, with
     all of its copies, or a chain, the original pairs of one suppressed
     path, which is one copy. A tree holds at most one copy of a pair,
-    and the copies are interchangeable: every charge is the same
+    and the copies are interchangeable: the largest charge is the same
     whichever of them the tree holds, and whichever pair of each other
     chain it leaves out.
 
@@ -78,52 +78,18 @@ class ForestOracle:
 
     def __init__(self, loops: list[int], pairs: list[tuple[int, int, int]]):
         self.queries = 0
+        self.pairs = pairs
         loops = loops[:]
-        adj: list[dict[int, int]] = [{} for _ in loops]
-        chains: list[list[tuple[int, int]] | None] = []
-        units: dict[tuple[int, int], list[int]] = {}  # reduced pair: its units
-        for a, b, m in pairs:
-            adj[a][b] = adj[b][a] = m
-            units[a, b] = [len(chains)]
-            chains.append([(a, b)])
-        todo = list(range(len(loops)))  # vertices that may be suppressed
-
-        def peel(vertices) -> None:
-            for v, u, m in _peel(adj, vertices):
-                loops[v] += m - 1
-                loops[u] += m - 1
-                todo.append(u)
-
-        peel(range(len(loops)))
-        while todo:
-            v = todo.pop()
-            if loops[v] or len(adj[v]) != 2:
-                continue
-            (a, ma), (b, mb) = adj[v].items()
-            if ma != 1 or mb != 1:
-                continue
-            # suppress v: its two units join into one chain, in the longer list
-            (ua,), (ub,) = units.pop(_norm(v, a)), units.pop(_norm(v, b))
-            if len(chains[ua]) < len(chains[ub]):
-                ua, ub = ub, ua
-            chains[ua] += chains[ub]
-            chains[ub] = None
-            adj[v].clear()
-            del adj[a][v], adj[b][v]
-            adj[a][b] = adj[b][a] = adj[a].get(b, 0) + 1
-            units.setdefault(_norm(a, b), []).append(ua)
-            todo += a, b
-            peel((a, b))
-        self.units = units
-        self.chains = chains
-        self.open = [c and set(c) for c in chains]  # pairs not yet included
-        self.unit = {p: u for u, c in enumerate(chains) if c for p in c}
-        self.reduced = {u: r for r, us in units.items() for u in us}  # unit: its pair
-        self.always = {(a, b) for a, b in units if b not in adj[a]}  # peeled pairs
-        self.decided: dict[tuple[int, int], int | None] = {}  # taken unit, None if forbidden
+        cores, self.chained, self.always = _reduce(loops, pairs)
+        # a chain is keyed by its first pair: its reduced pair, and its
+        # pairs not yet included
+        self.chain_of = {p: c for cs in self.chained.values() for c in cs for p in c}
+        self.reduced = {c[0]: r for r, cs in self.chained.items() for c in cs}
+        self.open = {c[0]: set(c) for cs in self.chained.values() for c in cs}
+        self.decided: dict[EdgePair, EdgePair | None] = {}  # unit taken, None if forbidden
         self.dps: list[tuple[list[int], _ChargeDP]] = []
         self.home: dict[int, tuple[int, int]] = {}  # vertex: (dps index, core index)
-        for core, mul in _split(adj):
+        for core, mul in cores:
             for i, v in enumerate(core):
                 self.home[v] = len(self.dps), i
             self.dps.append((core, _ChargeDP(mul, [loops[v] for v in core])))
@@ -138,18 +104,20 @@ class ForestOracle:
         """Whether an optimal forest holds the pair (a, b), a < b, the
         pairs included so far and none of those excluded; the pair is
         then included, and excluded otherwise."""
-        u = self.unit[a, b]
-        left = self.open[u]
-        if len(left) > 1:
-            left.remove((a, b))
-            return True
-        r = self.reduced[u]
+        chain = self.chain_of.get((a, b))
+        if chain is None:
+            unit = r = (a, b)
+        else:
+            unit = chain[0]
+            left = self.open[unit]
+            if len(left) > 1:
+                left.remove((a, b))
+                return True
+            r = self.reduced[unit]
         if r in self.decided:
             return False
         yes = r in self.always or self._ask(*r)
-        self.decided[r] = u if yes else None
-        if yes:
-            left.clear()
+        self.decided[r] = unit if yes else None
         return yes
 
     def _ask(self, a: int, b: int) -> bool:
@@ -169,7 +137,7 @@ class ForestOracle:
         dp.fix(x, y, False)
         return False
 
-    def forest(self) -> set[tuple[int, int]]:
+    def forest(self) -> set[EdgePair]:
         """The witness of the decisions so far, over the original pairs.
 
         A reduced pair the witness holds, peeled or in a core's tree, is
@@ -177,25 +145,27 @@ class ForestOracle:
         lex order asks it for first: the one whose greatest pair not yet
         included is least. A chain held that way has all its pairs, and
         every other chain leaves out its greatest pair not yet included."""
-        out = set()
+        units = {(a, b): [(a, b)] for a, b, _ in self.pairs if (a, b) not in self.chain_of}
+        for r, cs in self.chained.items():
+            units.setdefault(r, []).extend(c[0] for c in cs)
         opens = self.open
-        for r, us in self.units.items():
+        out = set()
+        for r, us in units.items():
             if r in self.decided:
                 held = self.decided[r]
             elif r in self.always or self._held(r):
-                held = min(us, key=lambda u: max(opens[u]))
+                held = min(us, key=lambda u: max(opens.get(u, (u,))))
             else:
                 held = None
             for u in us:
-                chain = self.chains[u]
                 if u == held:
-                    out.update(chain)
-                elif len(chain) > 1:
-                    out.update(chain)
+                    out.update(self.chain_of.get(u, (u,)))
+                elif u in opens:
+                    out.update(self.chain_of[u])
                     out.discard(max(opens[u]))
         return out
 
-    def _held(self, r: tuple[int, int]) -> bool:
+    def _held(self, r: EdgePair) -> bool:
         """Whether the witness tree of its core holds the core pair r."""
         at, x = self.home[r[0]]
         return (x, self.home[r[1]][1]) in self.trees[at]
@@ -218,6 +188,57 @@ class ForestOracle:
                     self.trees[at] = swapped
                     return True
         return False
+
+
+def _reduce(
+    loops: list[int], pairs: list[tuple[int, int, int]]
+) -> tuple[list[tuple[list[int], list[dict[int, int]]]], dict[EdgePair, list[list[EdgePair]]],
+           set[EdgePair]]:
+    """Peel pendant vertices and suppress series vertices, in turns until
+    neither applies, on the multigraph on 0..n-1 with the loop counts
+    loops and the distinct pairs (a, b, multiplicity); the loops the
+    peels leave are added to loops in place.
+
+    The cores left, as `ecw._split` gives them; for each reduced pair
+    with chains among its copies, those chains, each the list of original
+    pairs of one suppressed path; and the reduced pairs peeled.
+    """
+    adj: list[dict[int, int]] = [{} for _ in loops]
+    for a, b, m in pairs:
+        adj[a][b] = adj[b][a] = m
+    chained: dict[EdgePair, list[list[EdgePair]]] = {}
+    peeled = set()
+    todo = list(range(len(loops)))  # vertices that may be suppressed
+
+    def peel(vertices) -> None:
+        for v, u, m in _peel(adj, vertices):
+            loops[v] += m - 1
+            loops[u] += m - 1
+            peeled.add(_norm(v, u))
+            todo.append(u)
+
+    peel(range(len(loops)))
+    while todo:
+        v = todo.pop()
+        if loops[v] or len(adj[v]) != 2:
+            continue
+        (a, ma), (b, mb) = adj[v].items()
+        if ma != 1 or mb != 1:
+            continue
+        # the one copy of each of v's pairs is an original pair or a
+        # chain; the two join into one chain, in the longer list
+        ends = []
+        for p in _norm(v, a), _norm(v, b):
+            ends += chained.pop(p, None) or [[p]]
+        longer, shorter = sorted(ends, key=len, reverse=True)
+        longer += shorter
+        adj[v].clear()
+        del adj[a][v], adj[b][v]
+        adj[a][b] = adj[b][a] = adj[a].get(b, 0) + 1
+        chained.setdefault(_norm(a, b), []).append(longer)
+        todo += a, b
+        peel((a, b))
+    return _split(adj), chained, peeled
 
 
 def _drive(gen):
