@@ -239,57 +239,58 @@ def center(h: MultiGraph, x: set[int], level: int) -> MultiGraph:
 
 
 def _center_size(
-    nbag: int, deg: list[int], mult: list[list[int]], level: int
+    nbag: int, deg: list[int], rows: list[dict[int, int] | None], level: int
 ) -> int:
     """Vertex count of center(h, x, level) for a torso-like h: the |x| =
     nbag bag vertices plus one vertex per consolidated group, where group
-    i has deg[i] edge copies leaving it and mult[i][j] copies run between
-    groups i and j (the rest end in the bag). Groups come in h's vertex
-    order, which consolidation makes their order in the parts list. deg
-    and mult serve as scratch space and are changed; mult is not read at
-    level 1.
+    i has deg[i] edge copies leaving it and rows[i] maps every group
+    linked to it to the copies between them (the rest end in the bag).
+    Groups come in h's vertex order, which consolidation makes their
+    order in the parts list. Level 1 reads no rows.
 
     Bag vertices are never removed and nothing done to them changes a
     group vertex, so the bag acts as one sink whose edges are never
-    tracked. Deleting a degree-1 vertex lowers its neighbour's degree;
-    suppressing a degree-2 vertex keeps its neighbours' degrees, and a
-    parallel pair folds into a loop on the neighbour. Loops need no count
-    of their own: a vertex of degree 2 with a loop has no other edge, so
-    it is deleted as it would be suppressed, with no effect on anything
-    else. Group vertices are visited in ascending order, restarting after
-    every change, as center does.
+    tracked. Deleting a vertex of degree <= 1 lowers at most one
+    neighbour's degree, by one; suppressing a degree-2 vertex keeps every
+    degree, whether it joins two groups, folds a parallel pair into a
+    loop on one, or hands an edge to the bag. Loops need no count of
+    their own: a vertex of degree 2 with a loop has no other edge, so it
+    is deleted as it would be suppressed, with no effect on anything
+    else. So degrees only fall, a group that becomes removable stays
+    removable, and the count does not depend on the order of removals:
+    the groups left are those of degree >= level once none below it
+    remains. A worklist holds the removable groups; a group joins it when
+    its degree falls to level - 1.
+
+    deg and rows are left in the center's state, a removed group's row
+    set to None. Level 3 may remove all that level 2 removes, so a
+    level-3 call on the tables a level-2 call left continues that peel.
     """
-    if level == 1:
-        return nbag + sum(1 for d in deg if d)
-    k = len(deg)
-    alive = [True] * k
-    changed = True
-    while changed:
-        changed = False
-        for v in range(k):
-            if not alive[v]:
-                continue
-            d = deg[v]
-            if d > 2 or (d == 2 and level == 2):
-                continue
-            alive[v] = False
-            changed = True
-            ends = []  # v's group neighbours, one entry per edge copy
-            for j in range(k):
-                if mult[v][j]:
-                    ends += [j] * mult[v][j]
-                    mult[j][v] = 0
-            if d <= 1:
-                for j in ends:
+    if level > 1:
+        work = [v for v, d in enumerate(deg) if d < level and rows[v] is not None]
+        while work:
+            v = work.pop()
+            row, rows[v] = rows[v], None
+            for j in row:
+                del rows[j][v]
+            if deg[v] <= 1:
+                for j in row:  # at most one, joined by one copy
                     deg[j] -= 1
-            elif len(ends) == 2 and ends[0] != ends[1]:
-                a, b = ends
-                mult[a][b] += 1
-                mult[b][a] += 1
-            # otherwise every group end keeps its degree: a parallel pair
-            # folds into a loop there, or the new edge runs to the bag
-            break
-    return nbag + sum(alive)
+                    if deg[j] == level - 1:
+                        work.append(j)
+            elif len(row) == 2:  # one copy to each of two groups
+                a, b = row
+                rows[a][b] = rows[a].get(b, 0) + 1
+                rows[b][a] = rows[b].get(a, 0) + 1
+    return _kept(nbag, deg, level)
+
+
+def _kept(nbag: int, deg: list[int], level: int) -> int:
+    """nbag plus the groups of degree >= level: the center's size once no
+    group below the level is left to remove, and also when no group of
+    degree 1 is linked to another group, as no removal then lowers
+    another group's degree."""
+    return nbag + sum(1 for d in deg if d >= level)
 
 
 def _bump(counts: dict, key, m: int) -> None:
@@ -336,7 +337,10 @@ class _TreePass:
     Y_t. At the ancestor it joins the two children it came up from, unless
     an end sits in the ancestor's bag. Those counts are the edges between
     the consolidated groups of every torso, so center sizes come from
-    _center_size with no torso built.
+    _center_size over sparse rows with no torso built. A node with one
+    group, no two groups linked, or no linked group of degree 1 needs
+    neither rows nor a peel: its centers keep exactly the groups of
+    degree >= level.
 
     move() keeps the pass current through a reattachment, changing d's
     parent map itself; recompute the pass after any other change. Raises
@@ -475,32 +479,36 @@ class _TreePass:
         i = self.pos[t]
         return self.order[i : i + self.size[t]]
 
-    def _tables(self, t: int, fits: int = -1):
-        """|bag| and the deg and mult tables of t's torso groups, as
-        _center_size takes them. The groups are every child with a
-        non-empty Y_c, then a non-empty outside. None when |bag| plus the
-        group count is at most fits: even a center keeping every group
-        has no more vertices."""
+    def centers(self, t: int, fits: int = -1) -> tuple[int, int, int] | None:
+        """Sizes of center(torso(t), bag, level) at levels 3, 2 and 1, or
+        None when |bag| plus the group count is at most fits: even a
+        center keeping every group has no more vertices.
+
+        The groups are every child with a non-empty Y_c, then a non-empty
+        outside; their degrees are adhesions and their rows come straight
+        from links[t]. Level 1 only deletes isolated groups, and level 3
+        continues level 2's peel. Only deleting a group of degree 1
+        linked to another group lowers a degree, so with no such group
+        no rows are built and every level keeps the groups at or above
+        it (_kept)."""
         groups: list[int | None] = [c for c in self.children[t] if self.ys[c]]
         if t != self.d.root and len(self.ys[t]) < len(self.ys[self.d.root]):
             groups.append(None)
         nbag = len(self.d.bags[t])
         if nbag + len(groups) <= fits:
             return None
-        deg = [self.adhesion[t if c is None else c] for c in groups]
+        adh, links = self.adhesion, self.links[t]
+        deg = [adh[t if c is None else c] for c in groups]
+        tor1 = _kept(nbag, deg, 1)
+        if not any(adh[a] == 1 or adh[t if b is None else b] == 1 for a, b in links):
+            return _kept(nbag, deg, 3), _kept(nbag, deg, 2), tor1
         index = {c: i for i, c in enumerate(groups)}
-        mult = [[0] * len(groups) for _ in groups]
-        for (a, b), m in self.links[t].items():
+        rows: list[dict[int, int] | None] = [{} for _ in groups]
+        for (a, b), m in links.items():
             i, j = index[a], index[b]
-            mult[i][j] = mult[j][i] = m
-        return nbag, deg, mult
-
-    def centers(self, t: int) -> tuple[int, int, int]:
-        """Sizes of center(torso(t), bag, level) at levels 3, 2 and 1."""
-        nbag, deg, mult = self._tables(t)
-        tor1 = _center_size(nbag, deg, mult, 1)
-        tor2 = _center_size(nbag, list(deg), [list(row) for row in mult], 2)
-        return _center_size(nbag, deg, mult, 3), tor2, tor1
+            rows[i][j] = rows[j][i] = m
+        tor2 = _center_size(nbag, deg, rows, 2)
+        return _center_size(nbag, deg, rows, 3), tor2, tor1
 
     def stats(self, t: int) -> NodeStats:
         tor, tor2, tor1 = self.centers(t)
@@ -544,20 +552,16 @@ class _TreePass:
 
     def within(self, w: int, s: int, nodes: list[int] | None = None) -> bool:
         """report().width <= w and report().slim_width <= s, stopping at
-        the first node that breaks either. tor <= tor2, so level 3 is
-        peeled only where tor2 exceeds w. Given nodes, only those are
-        checked: enough after a move from a state within the pair, which
-        changes no adhesion or torso elsewhere."""
+        the first node that breaks either, each node's centers from one
+        peel. Given nodes, only those are checked: enough after a move
+        from a state within the pair, which changes no adhesion or torso
+        elsewhere."""
         fits = min(w, s)
         for t in self.nodes if nodes is None else nodes:
             if self.adhesion[t] > fits:
                 return False
-            tables = self._tables(t, fits)
-            if tables is None:
-                continue
-            nbag, deg, mult = tables
-            tor2 = _center_size(nbag, list(deg), [list(row) for row in mult], 2)
-            if tor2 > s or (tor2 > w and _center_size(nbag, deg, mult, 3) > w):
+            sizes = self.centers(t, fits)
+            if sizes is not None and (sizes[0] > w or sizes[1] > s):
                 return False
         return True
 

@@ -258,18 +258,21 @@ def _center_size(cut: list[int], nbag: int, groups: list[int], level: int) -> in
     """Vertex count of center(consolidate(g, x, groups), x, level), from
     g's cut table alone, when x and the disjoint non-empty groups cover
     V(g) and groups is in consolidation order. A group's degree is its
-    cut; edges between groups a and b number (cut a + cut b - cut a|b)/2.
+    cut; edges between groups a and b number (cut a + cut b - cut a|b)/2,
+    and the kernel takes them as sparse rows, one per group.
     """
     deg = [cut[a] for a in groups]
     if not deg or min(deg) >= level:
         return nbag + len(groups)  # the center removes no group
     if level == 1:
         return _center_kernel(nbag, deg, [], level)
-    mult = [
-        [0 if i == j else (cut[a] + cut[b] - cut[a | b]) // 2 for j, b in enumerate(groups)]
-        for i, a in enumerate(groups)
-    ]
-    return _center_kernel(nbag, deg, mult, level)
+    rows: list[dict[int, int] | None] = [{} for _ in groups]
+    for i, a in enumerate(groups):
+        for j in range(i):
+            m = (deg[i] + deg[j] - cut[a | groups[j]]) // 2
+            if m:
+                rows[i][j] = rows[j][i] = m
+    return _center_kernel(nbag, deg, rows, level)
 
 
 def exact_treewidth(g: MultiGraph, max_vertices: int = 14) -> int:

@@ -91,6 +91,18 @@ def chain_decomposition(g: MultiGraph):
     return TreeCutDecomposition(0, parent, bags)
 
 
+def star_decomposition(g: MultiGraph):
+    """Empty-bag root with one singleton leaf per vertex."""
+    from treecuts.decomposition import TreeCutDecomposition
+
+    parent = {0: None}
+    bags = {0: set()}
+    for i, v in enumerate(g.sorted_vertices(), start=1):
+        parent[i] = 0
+        bags[i] = {v}
+    return TreeCutDecomposition(0, parent, bags)
+
+
 _width_cache: dict[tuple, tuple[int, object]] = {}
 
 

@@ -23,10 +23,12 @@ from treecuts.decomposition import (
     validate,
     width_report,
 )
-from treecuts.families import windmill
+from treecuts import decomposition
+from treecuts.families import wall, windmill
 from treecuts.multigraph import MultiGraph
+from treecuts.transform import make_very_nice
 
-from conftest import random_connected_multi
+from conftest import chain_decomposition, random_connected_multi, star_decomposition
 
 
 def dstar_w4():
@@ -348,6 +350,79 @@ def test_within_matches_report(case):
     for w in range(rep.width - 1, rep.width + 2):
         for s in range(rep.slim_width - 1, rep.slim_width + 2):
             assert tp.within(w, s) == (rep.width <= w and rep.slim_width <= s), (w, s)
+
+
+def assert_pass_matches_reference(d, g):
+    tp = _TreePass(d, g)
+    rep = tp.report()
+    for t in d.nodes():
+        assert rep.per_node[t] == reference_node_stats(d, g, t), t
+    for w in range(rep.width - 1, rep.width + 1):
+        for s in range(rep.slim_width - 1, rep.slim_width + 1):
+            assert tp.within(w, s) == (rep.width <= w and rep.slim_width <= s), (w, s)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(12, 20), st.integers(0, 10), st.integers(0, 2**32 - 1))
+def test_node_stats_match_reference_at_benchmark_scale(n, extra, seed):
+    # decomposed() never gives a node more than about 7 groups; the star
+    # roots the normalize-bridge benchmark evaluates have up to 20
+    g = random_connected_multi(random.Random(seed), n, extra)
+    d = star_decomposition(g)
+    assert_pass_matches_reference(d, g)
+    assert_pass_matches_reference(make_very_nice(d, g), g)
+
+
+@pytest.mark.parametrize("g", [wall(4), wall(5), wall(6), windmill(8)],
+                         ids=["wall4", "wall5", "wall6", "windmill8"])
+def test_node_stats_match_reference_on_families(g):
+    d = star_decomposition(g)
+    assert_pass_matches_reference(d, g)
+    assert_pass_matches_reference(make_very_nice(d, g), g)
+
+
+def test_tree_pass_closed_forms_and_level_three_reuse(monkeypatch):
+    calls = []  # (level, deg, rows) per kernel call
+    kernel = decomposition._center_size
+
+    def spy(nbag, deg, rows, level):
+        calls.append((level, deg, rows))
+        return kernel(nbag, deg, rows, level)
+
+    monkeypatch.setattr(decomposition, "_center_size", spy)
+
+    def centers(g, d, t):
+        calls.clear()
+        got = _TreePass(d, g).centers(t)
+        ref = reference_node_stats(d, g, t)
+        assert got == (ref.tor, ref.tor2, ref.tor1)
+        return got
+
+    def peeled_once():
+        # level 3 continued on the very tables level 2 peeled
+        assert [level for level, _, _ in calls] == [2, 3]
+        assert calls[0][1] is calls[1][1] and calls[0][2] is calls[1][2]
+
+    # one group: the leaf of a path's chain, its outside of degree 1
+    g = MultiGraph(range(3), [(0, 1), (1, 2)])
+    assert centers(g, chain_decomposition(g), 2) == (1, 1, 2)
+    assert calls == []
+    # no two groups linked: every blade of the windmill hangs off the hub
+    g, d = dstar_w4()
+    assert centers(g, d, 0) == (1, 5, 5)
+    assert calls == []
+    # no linked group of degree 1: suppressing the cycle's vertices keeps
+    # every degree, so level 3 removes exactly the groups below it
+    g = MultiGraph(range(5), [(i, (i + 1) % 5) for i in range(5)])
+    assert centers(g, star_decomposition(g), 0) == (0, 5, 5)
+    assert calls == []
+    # level 2 deletes the pendant 4, level 3 suppresses the cycle it leaves
+    g = MultiGraph(range(5), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+    assert centers(g, star_decomposition(g), 0) == (0, 4, 5)
+    peeled_once()
+    calls.clear()
+    assert _TreePass(star_decomposition(g), g).within(3, 4, [0])
+    peeled_once()
 
 
 def pass_fields(tp):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treecuts.decomposition import _center_size as _center_kernel
 from treecuts.decomposition import center, consolidate, validate, width_report
 from treecuts.families import star, windmill
 from treecuts.formats import decomposition_to_json
@@ -361,6 +362,44 @@ def test_center_size_kernel_matches_reference(case):
     for level in (1, 2, 3):
         got, want = kernel_and_reference(g, bag, groups, level)
         assert got == want, (sorted(g.edges()), bag, groups, level)
+
+
+@st.composite
+def wide_torsos(draw):
+    """torsos() at the group counts of benchmark-scale star roots: 8-16
+    vertices, most of them a group of their own, the groups in any
+    order."""
+    n = draw(st.integers(8, 16))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    g = MultiGraph(range(n), draw(st.lists(pairs, max_size=3 * n)))
+    # -1 puts a vertex in the bag, 0 and 1 name two shared groups, and 2
+    # gives the vertex a group of its own
+    kinds = draw(st.lists(st.sampled_from([-1, 0, 1] + [2] * 7), min_size=n, max_size=n))
+    bag = {v for v in range(n) if kinds[v] < 0}
+    groups = [{v for v in range(n) if kinds[v] == lab} for lab in (0, 1)]
+    groups = [grp for grp in groups if grp] + [{v} for v in range(n) if kinds[v] == 2]
+    return g, bag, draw(st.permutations(groups))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_torsos())
+def test_center_size_kernel_matches_reference_with_many_groups(case):
+    g, bag, groups = case
+    cut = _cut_table(g)
+    masks = [sum(1 << v for v in grp) for grp in groups]
+    h = consolidate(g, bag, groups)
+    want = {level: center(h, bag, level).num_vertices() for level in (1, 2, 3)}
+    for level in (1, 2, 3):
+        got = _center_size(cut, len(bag), masks, level)
+        assert got == want[level], (sorted(g.edges()), bag, groups, level)
+    # the tree pass's use: tables read off the torso, peeled at level 2
+    # and then further at level 3
+    zs = h.meta["part_vertex"]
+    deg = [h.degree(z) for z in zs]
+    rows = [{j: h.multiplicity(z, y) for j, y in enumerate(zs) if y != z and h.has_edge(z, y)}
+            for z in zs]
+    for level in (2, 3):
+        assert _center_kernel(len(bag), deg, rows, level) == want[level], level
 
 
 def test_center_size_shortcut_skips_the_kernel(monkeypatch):

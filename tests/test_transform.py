@@ -29,7 +29,7 @@ from treecuts.transform import (
     witness_to_decomposition,
 )
 
-from conftest import chain_decomposition, random_connected_multi
+from conftest import chain_decomposition, random_connected_multi, star_decomposition
 
 
 def c4():
@@ -204,16 +204,6 @@ def test_oracle_decompositions_become_witnesses():
         w = decomposition_to_witness(g, d)
         assert validate_witness(w) == []
         assert witness_ecw(w) <= 3 * (k + 1) ** 2
-
-
-def star_decomposition(g):
-    """Empty-bag root with one singleton leaf per vertex."""
-    parent = {0: None}
-    bags = {0: set()}
-    for i, v in enumerate(g.sorted_vertices(), start=1):
-        parent[i] = 0
-        bags[i] = {v}
-    return TreeCutDecomposition(0, parent, bags)
 
 
 def golden_sources():
