@@ -20,6 +20,10 @@ VARIANT_LEVEL = {"tcw": 3, "stcw": 2, "tcw0": 1}
 
 INF = math.inf
 
+# mask: (its bits, its subsets as _Search._bags orders them); bit i is the
+# i-th smallest vertex of whichever graph is searched
+_BAGS: dict[int, tuple[list[int], list[int]]] = {}
+
 
 class SizeLimitError(ValueError):
     """The graph is too large for exhaustive search."""
@@ -78,11 +82,12 @@ def _check_size(n: int, max_vertices: int) -> None:
 class _Search:
     """Feasibility search over vertex subsets encoded as int bit masks.
 
-    Bit i stands for the i-th smallest vertex. The cut table and the two
-    enumeration orders depend only on the graph, so they are built once
-    and shared by every width bound tried; run(w) then searches one
-    bound, and the bounds go upward. A bag list holds the bags of at most
-    the largest bound searched yet.
+    Bit i stands for the i-th smallest vertex. The cut table, the torso
+    scores and the pieces lists depend only on the graph, so they are
+    built once and shared by every width bound tried; run(w) then searches
+    one bound, and the bounds go upward. Bag lists depend only on the
+    mask, so one module table serves every search; a list holds the bags
+    of at most the largest bound searched yet in the process.
 
     _min_empties(y) is the least number of empty bags any valid subtree
     covering exactly y can use, or infinity; the subtree's top node is
@@ -95,7 +100,14 @@ class _Search:
 
     _partitions(rest) lists, once per run, every partition of rest into
     parts within the adhesion bound and of finite cost, so the many
-    (y, bag) pairs that leave the same rest share one list.
+    (y, bag) pairs that leave the same rest share one list. Each entry
+    carries the sum of its parts' scores. score[m] is 1 if group m's
+    degree cut[m] reaches the level, plus flag = n + 1 if the level is 2
+    or 3 and cut[m] is 1; flag exceeds every width bound and every sum
+    of unflagged scores. When neither a part nor the group outside y is
+    flagged, no removal lowers another group's degree, so the center is
+    |x| plus the scored groups and the torso is decided inline. Flagged
+    torsos and leaves go to _torso_ok.
     """
 
     def __init__(self, g: MultiGraph, level: int):
@@ -103,14 +115,15 @@ class _Search:
         self.level = level
         self.all = (1 << len(self.vertices)) - 1
         self.cut = _cut_table(g)
-        self.bags_of: dict[int, tuple[list[int], list[int]]] = {}  # y: (bits, bags)
+        self.flag = flag = len(self.vertices) + 1  # above every width bound
+        self.score = [(c >= level) + (flag if c == 1 < level else 0) for c in self.cut]
         self.pieces_of: dict[int, list[int]] = {}
 
     def run(self, wmax: int) -> TreeCutDecomposition | None:
         self.wmax = wmax
         self.memo: dict[int, float] = {}
         self.choice: dict[int, tuple[int, tuple[int, ...]]] = {}
-        self.parts_of: dict[int, list[tuple[tuple[int, ...], float]]] = {}
+        self.parts_of: dict[int, list[tuple[tuple[int, ...], float, int]]] = {}
         self.active: set[int] = set()  # sets whose _min_empties is running
         if self._min_empties(self.all) == INF:
             return None
@@ -132,14 +145,14 @@ class _Search:
         return TreeCutDecomposition(0, parent, bags)
 
     def _bags(self, y: int) -> list[int]:
-        """Subsets of y of at most wmax vertices, by size, then
-        lexicographically by sorted vertices. The center of a torso keeps
-        every bag vertex, so larger bags never fit. Width bounds are
-        searched upward, so a kept list is extended in place."""
-        kept = self.bags_of.get(y)
+        """Subsets of y by size, then lexicographically by sorted
+        vertices, up to at least wmax vertices; callers stop at the first
+        bag above wmax, as the center of a torso keeps every bag vertex.
+        The list lives in the module's _BAGS and is extended in place."""
+        kept = _BAGS.get(y)
         if kept is None:
             bits = [1 << i for i in range(y.bit_length()) if y >> i & 1]
-            kept = self.bags_of[y] = bits, [0]
+            kept = _BAGS[y] = bits, [0]
         bits, bags = kept
         have = bags[-1].bit_count()
         if have < self.wmax and have < len(bits):
@@ -182,7 +195,11 @@ class _Search:
         self.active.add(y)
         best: float = INF
         best_choice = None
+        wmax, flag, up_score = self.wmax, self.flag, self.score[self.all ^ y]
         for x in self._bags(y):
+            nbag = x.bit_count()
+            if nbag > wmax:
+                break
             own = 0 if x else 1
             rest = y ^ x
             if not rest:
@@ -190,12 +207,15 @@ class _Search:
                     best, best_choice = 0, (x, ())
                     break
                 continue
-            for parts, cost in self._partitions(rest):
+            fixed = nbag + up_score
+            for parts, cost, score in self._partitions(rest):
                 total = own + cost
-                if total < best and self._torso_ok(y, x, parts):
-                    best, best_choice = total, (x, parts)
-                    if best == 0:
-                        break
+                if total < best:
+                    size = fixed + score  # the center's size unless flagged
+                    if size <= wmax or (size >= flag and self._torso_ok(y, x, parts)):
+                        best, best_choice = total, (x, parts)
+                        if best == 0:
+                            break
             if best == 0:
                 break
         self.memo[y] = best
@@ -204,11 +224,12 @@ class _Search:
             self.choice[y] = best_choice
         return best
 
-    def _partitions(self, rest: int) -> list[tuple[tuple[int, ...], float]]:
+    def _partitions(self, rest: int) -> list[tuple[tuple[int, ...], float, int]]:
         """Partitions of rest whose every part respects the adhesion bound
-        and is itself feasible, as (parts, summed empty-bag cost), parts
-        ascending and partitions in lexicographic order. A list built
-        while _min_empties(rest) runs lacks the part rest and is not kept."""
+        and is itself feasible, as (parts, summed empty-bag cost, summed
+        score), parts ascending and partitions in lexicographic order. A
+        list built while _min_empties(rest) runs lacks the part rest and
+        is not kept."""
         if rest in self.parts_of:
             return self.parts_of[rest]
         memo = self.memo
@@ -219,13 +240,14 @@ class _Search:
             c = memo[piece] if piece in memo else self._min_empties(piece)
             if c == INF:
                 continue
+            s = self.score[piece]
             if piece == rest:
-                out.append(((piece,), c))
+                out.append(((piece,), c, s))
                 continue
             tail = self.parts_of.get(rest ^ piece)
             if tail is None:
                 tail = self._partitions(rest ^ piece)
-            out += [((piece,) + parts, c + cost) for parts, cost in tail]
+            out += [((piece,) + parts, c + cost, s + score) for parts, cost, score in tail]
         if rest not in self.active:
             self.parts_of[rest] = out
         return out

@@ -5,10 +5,52 @@ before the charge DP decided it pair by pair. It knows nothing of the
 DP: it proves optimality by itself, so it checks both the DP's value and
 the forest that the DP's answers pick. scripts/ecw_reach_table.py times
 it too.
+
+`ReferenceSearch` is the oracle's subset search with every candidate
+torso decided by `_torso_ok`, so by the center kernel wherever the bag and
+the group count alone do not fit; it ignores the scores that let the
+search decide most torsos without that call.
 """
 from __future__ import annotations
 
+from treecuts.oracle import INF, _Search
+
 EdgePair = tuple[int, int]
+
+
+class ReferenceSearch(_Search):
+    """_Search whose _min_empties sends every candidate to _torso_ok."""
+
+    def _min_empties(self, y: int) -> float:
+        if y in self.memo:
+            return self.memo[y]
+        self.memo[y] = INF
+        self.active.add(y)
+        best: float = INF
+        best_choice = None
+        for x in self._bags(y):
+            if x.bit_count() > self.wmax:
+                break
+            own = 0 if x else 1
+            rest = y ^ x
+            if not rest:
+                if x and self._torso_ok(y, x, ()):
+                    best, best_choice = 0, (x, ())
+                    break
+                continue
+            for parts, cost, _ in self._partitions(rest):
+                total = own + cost
+                if total < best and self._torso_ok(y, x, parts):
+                    best, best_choice = total, (x, parts)
+                    if best == 0:
+                        break
+            if best == 0:
+                break
+        self.memo[y] = best
+        self.active.discard(y)
+        if best_choice is not None:
+            self.choice[y] = best_choice
+        return best
 
 
 def least_forest(

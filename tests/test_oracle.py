@@ -23,6 +23,7 @@ from treecuts.oracle import (
 )
 
 from conftest import cached_width, connected_graphs_upto, random_connected_multi
+from reference import ReferenceSearch
 
 VARIANTS = ("tcw", "stcw", "tcw0")
 
@@ -262,10 +263,12 @@ def pair_sum_cut_table(g):
 
 
 @st.composite
-def labelled_multigraphs(draw):
-    """Up to 8 vertices with gappy labels; uniform edge ends give loops,
-    parallel edges, isolated vertices and several components."""
-    labels = draw(st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True))
+def labelled_multigraphs(draw, max_vertices=8):
+    """Up to max_vertices vertices with gappy labels; uniform edge ends
+    give loops, parallel edges, isolated vertices and several
+    components."""
+    labels = draw(st.lists(st.integers(0, 40), min_size=1, max_size=max_vertices,
+                           unique=True))
     ends = st.sampled_from(labels)
     return MultiGraph(labels, draw(st.lists(st.tuples(ends, ends), max_size=16)))
 
@@ -310,13 +313,22 @@ def set_partitions(mask):
 def test_stored_partitions_match_brute_force():
     # every list kept by a run holds exactly the set partitions of its
     # remainder whose parts fit the bound and have finite cost, in
-    # lexicographic order of the parts
+    # lexicographic order of the parts, each scored by the count of its
+    # parts whose cut reaches the level plus the flag per part of cut 1
+    # below a level of 2 or 3
     graphs = [needs_an_empty_bag()] + exhaustive_corpus()[:10]
-    empty_bag_choices = 0
+    empty_bag_choices = flagged = 0
     for g in graphs:
         for var in VARIANTS:
+            level = VARIANT_LEVEL[var]
             value = exact_width(g, var, max_vertices=7)[0]
-            search = _Search(g, VARIANT_LEVEL[var])
+            search = _Search(g, level)
+            assert search.flag == g.num_vertices() + 1
+
+            def score(p):
+                cut = search.cut[p]
+                return (cut >= level) + (search.flag if level > 1 and cut == 1 else 0)
+
             for w in range(1, value + 1):
                 assert (search.run(w) is None) == (w < value)
                 assert search.parts_of and not search.active
@@ -327,9 +339,46 @@ def test_stored_partitions_match_brute_force():
                         if all(search.cut[p] <= w and search.memo.get(p, INF) < INF
                                for p in parts)
                     )
-                    assert got == want, (var, w, rest)
+                    assert [(parts, cost) for parts, cost, _ in got] == want, (var, w, rest)
+                    for parts, _, s in got:
+                        assert s == sum(score(p) for p in parts), (var, w, parts)
+                        flagged += s >= search.flag
                 empty_bag_choices += sum(x == 0 for x, _ in search.choice.values())
-    assert empty_bag_choices > 0
+    assert empty_bag_choices > 0 and flagged > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(labelled_multigraphs(max_vertices=7))
+@example(needs_an_empty_bag())
+@example(path(4))  # at stcw, w = 2 needs the outside group's flag
+def test_search_matches_reference_search(g):
+    # deciding torsos from the partition scores gives every feasibility
+    # value and every first choice that _torso_ok on each candidate gives
+    for var in VARIANTS:
+        search = _Search(g, VARIANT_LEVEL[var])
+        reference = ReferenceSearch(g, VARIANT_LEVEL[var])
+        for w in range(1, g.num_vertices() + 1):
+            assert (search.run(w) is None) == (reference.run(w) is None)
+            assert search.memo == reference.memo, (var, w)
+            assert search.choice == reference.choice, (var, w)
+
+
+def test_shared_bag_lists_serve_smaller_bounds(monkeypatch):
+    # a search at a larger bound leaves bags above a later search's bound
+    # in the shared lists; the later search stops at its bound and returns
+    # what it returns on an empty table
+    small = [needs_an_empty_bag(), cycle(6), star(5)]  # six vertices each
+    monkeypatch.setattr(oracle, "_BAGS", {})
+    want = [exact_width(g, var) for g in small for var in VARIANTS]
+    monkeypatch.setattr(oracle, "_BAGS", {})
+    k6 = MultiGraph(range(6), [(a, b) for a in range(6) for b in range(a + 1, 6)])
+    assert exact_width(k6, "tcw")[0] == 6
+    assert max(b.bit_count() for b in oracle._BAGS[0b111111][1]) == 6
+    got = [exact_width(g, var) for g in small for var in VARIANTS]
+    assert [v for v, _ in got] == [v for v, _ in want]
+    assert max(v for v, _ in got) < 6
+    assert [decomposition_to_json(d) for _, d in got] == [
+        decomposition_to_json(d) for _, d in want]
 
 
 def kernel_and_reference(g, bag, groups, level):
