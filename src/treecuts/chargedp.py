@@ -13,21 +13,16 @@ children. A charge therefore depends only on the vertex sets of a subtree
 and of its child subtrees, which `_ChargeDP` exploits to decide "every
 charge at most K" over connected vertex sets of small cut. The same
 decision takes pairs required in the tree or forbidden, and an accepted
-one expands into a tree.
+one expands into a tree. Only H on a connected set of two or more
+vertices suspends, on `_drive`'s explicit stack; sums over components,
+fits of parts and H on one vertex are decided inline.
 
-`ForestOracle` first shrinks the graph by two reductions that keep the
-edge-cut width, in turns until neither applies: `ecw._peel` peels pendant
-vertices, and series reduction suppresses a loopless vertex with two
-distinct neighbours, one copy to each, into a copy of the pair it
-joins. It runs one DP per core that `ecw._split` then leaves, keeps the
-tables of the optimum and a witness tree, and answers pair by pair
-whether an optimal forest holds the pairs asked so far. The copies of a
-reduced pair come in units, an original pair or the chain of original
-pairs of one suppressed path, and the answers for a chain's pairs follow
-from the one fact the DP decides for it: whether the tree holds its
-copy. `ecw.exact_ecw` takes the value from the oracle and keeps, in lex
-order, each pair it answers yes to. Swaps are rooted and charged by
-`ecw._forest_paths` and `ecw._top_charge`, as every other forest is.
+`ForestOracle` shrinks the graph first, by the pendant peel and series
+reduction in turns, runs one DP per core left, and answers pair by pair
+whether an optimal forest holds the pairs asked so far; `ecw.exact_ecw`
+takes the value from it and keeps, in lex order, each pair it answers
+yes to. Swaps are rooted and charged by `ecw._forest_paths` and
+`ecw._top_charge`, as every other forest is.
 """
 from __future__ import annotations
 
@@ -241,22 +236,15 @@ def _reduce(
     return _split(adj), chained, peeled
 
 
-def _drive(gen):
-    """Run a generator that yields sub-generators for the values it
-    needs, with an explicit stack in place of recursion; its return value."""
+def _drive(gen) -> None:
+    """Run a generator and, each in turn, the generators it yields, with
+    an explicit stack in place of recursion."""
     stack = [gen]
-    value = None
-    while True:
+    while stack:
         try:
-            sub = stack[-1].send(value)
-        except StopIteration as done:
+            stack.append(next(stack[-1]))
+        except StopIteration:
             stack.pop()
-            if not stack:
-                return done.value
-            value = done.value
-        else:
-            stack.append(sub)
-            value = None
 
 
 class _ChargeDP:
@@ -287,8 +275,9 @@ class _ChargeDP:
     kept, with the (part, root) that set each H entry, so an accepted
     decision expands into a tree (`tree`). The components and e(S) of a
     vertex set depend on the graph alone, so they are memoized per set
-    for the life of the DP, across bounds and constraints. The DP runs
-    through `_drive`, so its depth does not grow with k.
+    for the life of the DP, across bounds and constraints. Only `hpart`
+    on two or more vertices suspends, on `_drive`'s explicit stack, so the
+    depth does not grow with k; `hsum` and the fits are plain code.
     """
 
     def __init__(self, mul: list[dict[int, int]], loops: list[int]):
@@ -348,7 +337,10 @@ class _ChargeDP:
             self.f = {key: ok for key, ok in self.f.items() if not key // k & stale}
         self.stale = 0
         need = max(0, self.edges(self.full) - bound)  # H = -1 never fits
-        return _drive(self.hsum(0, self.components(self.full & ~1))) >= need
+        top = self.components(self.full & ~1)
+        while (total := self.hsum(0, top)) < -1:
+            _drive(self.hpart(0, ~total))
+        return total >= need
 
     def fix(self, a: int, b: int, tree: bool) -> None:
         """Require the pair (a, b) in the tree, or else forbid it, in
@@ -453,69 +445,94 @@ class _ChargeDP:
         self.parts[v] = out
         return out
 
-    def hsum(self, x: int, parts: list[int]):
-        """H(x, r) over the components of r; -1 when some has no partition."""
-        total = 0
+    def hsum(self, x: int, parts: tuple[int, ...]) -> int:
+        """H(x, r) over the components parts of r; -1 when some has no
+        partition, or ~c for the first component c that needs `hpart`,
+        which the caller runs before it sums again. A one-vertex c = {v}
+        has the one part {v} rooted at v, valid when (x, v) is allowed, v's
+        only required pair, if any, is (x, v), and deg(v) - 1 + loops(v) <=
+        K, that is feasible({v}, v); it enters the tables as in `hpart`."""
+        h = self.h
         key = self.k
+        nx = self.allowed[x]
+        total = 0
         for c in parts:
-            h = self.h.get(c * key + x)
-            if h is None:
-                h = yield self.hpart(x, c)
-            if h < 0:
+            at = c * key + x
+            got = h.get(at)
+            if got is None:
+                got = -1
+                if c & nx:
+                    if c & (c - 1):
+                        return ~c
+                    v = c.bit_length() - 1
+                    req, loops = self.req[v], self.loops[v]
+                    if (not req or req == 1 << x) and self.deg[v] - 1 + loops <= self.bound:
+                        got = loops + 1
+                        self.how[at] = c, v
+                h[at] = got
+            if got < 0:
                 return -1
-            total += h
+            total += got
         return total
 
     def hpart(self, x: int, c: int):
-        """H(x, c) for a connected set c; -1 when no partition is valid.
-
-        A part holding c's least vertex is chosen first and the rest of c
-        is partitioned recursively. Split into j parts, the connected set
-        c keeps at least j - 1 copies between parts, so H(x, c) is at most
-        e(c) + 1 and reaching that ends the scan."""
+        """Enter H(x, c), -1 when no partition is valid, for a connected set
+        c of two or more vertices that meets x's allowed neighbours. A part
+        holding c's least vertex is chosen first and the rest of c is
+        partitioned recursively; j parts keep at least j - 1 copies between
+        them, so H(x, c) <= e(c) + 1, and reaching that ends the scan. A
+        part p fits at root y when feasible(p, y); H(y, r) <= e(r) +
+        #components(r), r = p - {y}, settles many before r is partitioned."""
         nx = self.allowed[x]
         key = self.k
+        f, bound, reqv = self.f, self.bound, self.reqv
         best = most = -1
-        if c & nx:
-            low = c & -c
-            v = low.bit_length() - 1
-            sets = self.parts.get(v)
-            if sets is None:
-                sets = self.small_cut_sets(v)
-            reqv = self.reqv
-            for p, e, cut in sets:
-                if p & ~c or not p & nx:
+        v = (c & -c).bit_length() - 1
+        sets = self.parts.get(v)
+        if sets is None:
+            sets = self.small_cut_sets(v)
+        for p, e, cut in sets:
+            if p & ~c or not p & nx:
+                continue
+            ends = p & nx
+            if p & reqv:
+                ends = self.roots(x, p, ends)
+            while ends:
+                bit = ends & -ends
+                ends ^= bit
+                y = bit.bit_length() - 1
+                ok = f.get(p * key + y)
+                if ok is None:
+                    r = p ^ bit
+                    need = cut - 1 + e - bound
+                    comps = self.components(r)
+                    ok = len(comps) >= need - self.edges(r)
+                    if r and ok:
+                        while (got := self.hsum(y, comps)) < -1:
+                            yield self.hpart(y, ~got)
+                        ok = got >= need and got >= 0  # H = -1 never fits
+                    f[p * key + y] = ok
+                if ok:
+                    break
+            else:
+                continue
+            rest = 0
+            if c != p:
+                comps = self.components(c & ~p)
+                while (rest := self.hsum(x, comps)) < -1:
+                    yield self.hpart(x, ~rest)
+                if rest < 0:
                     continue
-                ends = p & nx
-                if p & reqv:
-                    ends = self.roots(x, p, ends)
-                while ends:
-                    bit = ends & -ends
-                    ends ^= bit
-                    y = bit.bit_length() - 1
-                    ok = self.f.get(p * key + y)
-                    if ok is None:
-                        ok = yield self.fits(p, e, cut, y)
-                    if ok:
-                        break
-                else:
-                    continue
-                rest = 0
-                if c != p:
-                    rest = yield from self.hsum(x, self.components(c & ~p))
-                    if rest < 0:
-                        continue
-                if e + 1 + rest > best:
-                    best = e + 1 + rest
-                    part, root = p, y
-                    if most < 0:
-                        most = self.edges(c) + 1
-                    if best == most:
-                        break
+            if e + 1 + rest > best:
+                best = e + 1 + rest
+                part, root = p, y
+                if most < 0:
+                    most = self.edges(c) + 1
+                if best == most:
+                    break
         self.h[c * key + x] = best
         if best >= 0:
             self.how[c * key + x] = part, root
-        return best
 
     def roots(self, x: int, p: int, ends: int) -> int:
         """The roots among ends at which part p may hang below x: a
@@ -531,22 +548,3 @@ class _ChargeDP:
                     return 0
                 cross = low
         return ends & cross if cross else ends
-
-    def fits(self, s: int, e: int, cut: int, x: int):
-        """feasible(s, x) for a part s other than the whole vertex set.
-
-        H(x, r) is at most e(r) + #components(r), which settles many
-        parts before any partition of r is tried; H(x, r) = -1, no valid
-        partition, never fits, whatever the bound."""
-        r = s & ~(1 << x)
-        need = cut - 1 + e - self.bound
-        spare = need - self.edges(r)  # what #components(r) must make up
-        if not r:
-            ok = spare <= 0
-        else:
-            parts = self.components(r)
-            ok = len(parts) >= spare and (
-                (yield from self.hsum(x, parts)) >= (need if need > 0 else 0)
-            )
-        self.f[s * self.k + x] = ok
-        return ok

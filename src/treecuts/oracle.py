@@ -106,8 +106,9 @@ class _Search:
     or 3 and cut[m] is 1; flag exceeds every width bound and every sum
     of unflagged scores. When neither a part nor the group outside y is
     flagged, no removal lowers another group's degree, so the center is
-    |x| plus the scored groups and the torso is decided inline. Flagged
-    torsos and leaves go to _torso_ok.
+    |x| plus the scored groups and the torso is decided inline; so is a
+    leaf's, whose only group is the one outside y. Flagged torsos go to
+    _torso_ok.
     """
 
     def __init__(self, g: MultiGraph, level: int):
@@ -127,21 +128,19 @@ class _Search:
         self.active: set[int] = set()  # sets whose _min_empties is running
         if self._min_empties(self.all) == INF:
             return None
+        # nodes in preorder, parts in order, numbered as visited; a loop,
+        # since a closure calling itself is a reference cycle that would
+        # keep the whole search alive until the cyclic collector runs
         parent: dict[int, int | None] = {}
         bags: dict[int, set[int]] = {}
-        counter = 0
-
-        def build(y: int, par: int | None) -> None:
-            nonlocal counter
-            me = counter
-            counter += 1
+        todo: list[tuple[int, int | None]] = [(self.all, None)]
+        while todo:
+            y, par = todo.pop()
+            me = len(parent)
             x, parts = self.choice[y]
             parent[me] = par
             bags[me] = {v for i, v in enumerate(self.vertices) if x >> i & 1}
-            for p in parts:
-                build(p, me)
-
-        build(self.all, None)
+            todo.extend((p, me) for p in reversed(parts))
         return TreeCutDecomposition(0, parent, bags)
 
     def _bags(self, y: int) -> list[int]:
@@ -203,7 +202,7 @@ class _Search:
             own = 0 if x else 1
             rest = y ^ x
             if not rest:
-                if x and self._torso_ok(y, x, ()):
+                if x and nbag + (self.cut[self.all ^ y] >= self.level) <= wmax:
                     best, best_choice = 0, (x, ())
                     break
                 continue

@@ -10,9 +10,17 @@ it too.
 torso decided by `_torso_ok`, so by the center kernel wherever the bag and
 the group count alone do not fit; it ignores the scores that let the
 search decide most torsos without that call.
+
+`ReferenceChargeDP` is the charge DP with every sum, H entry and fit of
+a part computed by a generator that `drive` runs, each handing its value
+to the one that yielded it; one-vertex sets, and sets with no allowed
+neighbour of the vertex above, go through the general scan too. It is
+the DP as it was before everything but `hpart` on sets of two or more
+vertices was decided inline.
 """
 from __future__ import annotations
 
+from treecuts.chargedp import _ChargeDP
 from treecuts.oracle import INF, _Search
 
 EdgePair = tuple[int, int]
@@ -51,6 +59,107 @@ class ReferenceSearch(_Search):
         if best_choice is not None:
             self.choice[y] = best_choice
         return best
+
+
+def drive(gen):
+    """Run a generator that yields sub-generators for the values it
+    needs, with an explicit stack in place of recursion; its return value."""
+    stack = [gen]
+    value = None
+    while True:
+        try:
+            sub = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(sub)
+            value = None
+
+
+class ReferenceChargeDP(_ChargeDP):
+    """_ChargeDP whose sums, H entries and fits all run as generators.
+
+    hsum drives the whole sum, so it never hands a component back."""
+
+    def hsum(self, x: int, parts: tuple[int, ...]) -> int:
+        return drive(self.gsum(x, parts))
+
+    def gsum(self, x: int, parts: tuple[int, ...]):
+        """H(x, r) over the components of r; -1 when some has no partition."""
+        total = 0
+        key = self.k
+        for c in parts:
+            h = self.h.get(c * key + x)
+            if h is None:
+                h = yield self.hpart(x, c)
+            if h < 0:
+                return -1
+            total += h
+        return total
+
+    def hpart(self, x: int, c: int):
+        """H(x, c) for a connected set c; -1 when no partition is valid."""
+        nx = self.allowed[x]
+        key = self.k
+        best = most = -1
+        if c & nx:
+            low = c & -c
+            v = low.bit_length() - 1
+            sets = self.parts.get(v)
+            if sets is None:
+                sets = self.small_cut_sets(v)
+            reqv = self.reqv
+            for p, e, cut in sets:
+                if p & ~c or not p & nx:
+                    continue
+                ends = p & nx
+                if p & reqv:
+                    ends = self.roots(x, p, ends)
+                while ends:
+                    bit = ends & -ends
+                    ends ^= bit
+                    y = bit.bit_length() - 1
+                    ok = self.f.get(p * key + y)
+                    if ok is None:
+                        ok = yield self.fits(p, e, cut, y)
+                    if ok:
+                        break
+                else:
+                    continue
+                rest = 0
+                if c != p:
+                    rest = yield from self.gsum(x, self.components(c & ~p))
+                    if rest < 0:
+                        continue
+                if e + 1 + rest > best:
+                    best = e + 1 + rest
+                    part, root = p, y
+                    if most < 0:
+                        most = self.edges(c) + 1
+                    if best == most:
+                        break
+        self.h[c * key + x] = best
+        if best >= 0:
+            self.how[c * key + x] = part, root
+        return best
+
+    def fits(self, s: int, e: int, cut: int, x: int):
+        """feasible(s, x) for a part s other than the whole vertex set."""
+        r = s & ~(1 << x)
+        need = cut - 1 + e - self.bound
+        spare = need - self.edges(r)  # what #components(r) must make up
+        if not r:
+            ok = spare <= 0
+        else:
+            parts = self.components(r)
+            ok = len(parts) >= spare and (
+                (yield from self.gsum(x, parts)) >= (need if need > 0 else 0)
+            )
+        self.f[s * self.k + x] = ok
+        return ok
 
 
 def least_forest(

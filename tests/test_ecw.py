@@ -30,7 +30,7 @@ from treecuts.families import ladder, wall
 from treecuts.multigraph import MultiGraph
 
 from conftest import random_connected_multi
-from reference import least_forest
+from reference import ReferenceChargeDP, least_forest
 
 
 def c4():
@@ -362,6 +362,83 @@ def test_constrained_charge_dp_matches_brute_force(g, data):
         assert dp.feasible(bound) == bool(fits), (fixed, bound)
         if fits:
             assert dp.tree() in fits
+
+
+def mul_of(n: int, pairs: list[tuple[int, int, int]]) -> list[dict[int, int]]:
+    """The multiplicity maps a `_ChargeDP` takes, from distinct pairs."""
+    mul = [{} for _ in range(n)]
+    for a, b, m in pairs:
+        mul[a][b] = mul[b][a] = m
+    return mul
+
+
+def one_vertex_entries(dp: _ChargeDP, bound: int) -> tuple[dict, dict]:
+    """The h and how entries of every one-vertex set {v} below every other
+    vertex x at bound, each summed by hsum on empty tables, whether or
+    not a decision would ask for it."""
+    dp.feasible(bound)
+    dp.h, dp.how = {}, {}
+    for x in range(dp.k):
+        for v in range(dp.k):
+            if v != x:
+                assert dp.hsum(x, (1 << v,)) >= -1
+    return dp.h, dp.how
+
+
+def check_dp_against_reference(mul, loops, steps) -> None:
+    """feasible, the h and how tables and, on a yes, tree() of _ChargeDP
+    against ReferenceChargeDP after each step (pair or None, required,
+    bound), then the one-vertex entries under the last constraints. The
+    fit tables are not compared: the DP settles a one-vertex set with no
+    fit entry for its part."""
+    dp, ref = _ChargeDP(mul, loops), ReferenceChargeDP(mul, loops)
+    for pair, required, bound in steps:
+        if pair is not None:
+            dp.fix(*pair, required)
+            ref.fix(*pair, required)
+        yes = dp.feasible(bound)
+        assert yes == ref.feasible(bound), (pair, required, bound)
+        assert dp.h == ref.h, (pair, required, bound)
+        assert dp.how == ref.how, (pair, required, bound)
+        if yes:
+            assert dp.tree() == ref.tree()
+    assert one_vertex_entries(dp, bound) == one_vertex_entries(ref, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_loopy_multigraphs(), st.data())
+def test_charge_dp_matches_reference_dp(g, data):
+    # a random fix sequence, each decision at a bound next to the optimum,
+    # so the tables are reused, filtered and reset in turn
+    _, loops, pairs = _indexed(g)
+    mul = mul_of(len(loops), pairs)
+    least = _ChargeDP(mul, loops).least_bound(0)
+    bounds = st.integers(least - 1, least + 1)
+    fixes = st.tuples(st.sampled_from([(a, b) for a, b, _ in pairs]), st.booleans(), bounds)
+    steps = [(None, True, data.draw(bounds, label="bound"))]
+    steps += data.draw(st.lists(fixes, max_size=6), label="fixes")
+    check_dp_against_reference(mul, loops, steps)
+
+
+def test_charge_dp_matches_reference_dp_on_one_vertex_cases():
+    # triangle with (1, 2) required: below 0, vertex 1's required pair
+    # leads to 2, so neither the part {1} nor the set {1} is valid there
+    tri = mul_of(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
+    check_dp_against_reference(tri, [0, 0, 0], [(None, True, 1), ((1, 2), True, 1),
+                                                ((1, 2), True, 0), ((0, 2), False, 1)])
+    dp = _ChargeDP(tri, [0, 0, 0])
+    dp.fix(1, 2, True)
+    h, how = one_vertex_entries(dp, 1)
+    assert h[0b010 * 3 + 0] == -1 and h[0b010 * 3 + 2] == 1
+    assert how[0b010 * 3 + 2] == (0b010, 1)
+    # path 0-1-2 with three loops at 2: below 1 at bound 2, the set {2}
+    # has deg - 1 + loops = 3 over the bound, though deg - 1 = 0 is not
+    path = mul_of(3, [(0, 1, 1), (1, 2, 1)])
+    check_dp_against_reference(path, [0, 0, 3], [(None, True, 2), (None, True, 3),
+                                                 ((1, 2), True, 2), ((0, 1), True, 3)])
+    dp = _ChargeDP(path, [0, 0, 3])
+    assert not dp.feasible(2) and dp.h[0b100 * 3 + 1] == -1
+    assert dp.feasible(3) and dp.h[0b100 * 3 + 1] == 4 and dp.how[0b100 * 3 + 1] == (0b100, 2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -449,6 +451,26 @@ def test_center_size_kernel_matches_reference_with_many_groups(case):
             for z in zs]
     for level in (2, 3):
         assert _center_kernel(len(bag), deg, rows, level) == want[level], level
+
+
+def test_finished_search_is_freed_without_the_cycle_collector(monkeypatch):
+    # a search holds its cut table, memo and partition lists; once
+    # exact_width returns, no reference cycle may keep it alive
+    made = []
+
+    class Watched(_Search):
+        def __init__(self, g, level):
+            super().__init__(g, level)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(oracle, "_Search", Watched)
+    gc.disable()
+    try:
+        for var in VARIANTS:
+            exact_width(cycle(5), var)
+        assert made and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
 
 
 def test_center_size_shortcut_skips_the_kernel(monkeypatch):
