@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from treecuts import cli
@@ -177,3 +178,71 @@ def test_export_dot_all_artifacts(tmp_path, capsys):
         fh.write(wout)
     code, out, _ = run(capsys, "export-dot", wpath)
     assert code == 0 and "penwidth=2" in out
+
+
+CLI_GOLDEN = "455329903d6e50f6160d33beb72178f0327543b5c3a332bdc9c85c2b615831b6"
+
+
+def test_cli_outputs_golden(tmp_path, capsys, monkeypatch):
+    # argparse wraps its usage line to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    tmp = str(tmp_path)
+    h = hashlib.sha256()
+
+    def step(*argv):
+        code, out, err = run(capsys, *argv)
+        rec = [[a.replace(tmp, "<tmp>") for a in argv], code,
+               out.replace(tmp, "<tmp>"), err.replace(tmp, "<tmp>")]
+        h.update(json.dumps(rec).encode() + b"\n")
+        return code, out
+
+    def path(name, text=None):
+        p = str(tmp_path / name)
+        if text is not None:
+            with open(p, "w") as fh:
+                fh.write(text)
+        return p
+
+    files = {}
+    for family, r in [("star", 3), ("windmill", 2), ("wall", 3), ("ladder", 3)]:
+        code, out = step("gen", "--family", family, "--r", str(r))
+        assert code == 0
+        files[family] = path(f"{family}.txt", out)
+    g = files["windmill"]
+    code, out = step("oracle", g, "--variant", "tcw")
+    assert code == 0
+    d = path("d.json", json.dumps(json.loads(out)["decomposition"], indent=2) + "\n")
+    assert step("oracle", files["wall"], "--variant", "tcw")[0] == 3
+    assert step("widths", g, "--decomp", d)[0] == 0
+    code, out = step("to-witness", g, "--decomp", d)
+    assert code == 0
+    w = path("w.json", out)
+    assert step("to-decomp", w)[0] == 0
+    assert step("ecw-exact", files["ladder"])[0] == 0
+    assert step("ecw-exact", files["ladder"], "--budget", "1")[0] == 3
+
+    bad_d = path("bad_d.json", json.dumps(
+        {"root": 0, "nodes": [{"id": 0, "parent": None, "bag": [0]}]}))
+    wobj = json.loads(out)
+    wobj["tree_edges"].pop()
+    bad_w = path("bad_w.json", json.dumps(wobj))
+    assert step("verify-decomp", g, "--decomp", d)[0] == 0
+    assert step("verify-decomp", g, "--decomp", bad_d)[0] == 2
+    assert step("verify-witness", w)[0] == 0
+    assert step("verify-witness", bad_w)[0] == 2
+
+    code, out = step("gen", "--family", "windmill", "--r", "4")
+    g4 = path("windmill4.txt", out)
+    assert step("approx", g4, "--omega", "2")[0] == 0
+    assert step("approx", g4, "--omega", "1")[0] == 1
+
+    c4 = path("c4.txt", "4 4\n0 1\n1 2\n2 3\n0 3\n")
+    assert step("edp", c4, "--pairs", "0-2,0-2")[0] == 0
+    assert step("edp", c4, "--pairs", "0-2,1-3")[0] == 1
+    assert step("edp", g, "--pairs", "0-1,1-2", "--witness", w)[0] == 0
+
+    for art in (g, d, w):
+        assert step("export-dot", art)[0] == 0
+    assert step("gen", "--family", "mystery", "--r", "2")[0] == 2
+    assert step("widths", path("missing.txt"), "--decomp", d)[0] == 2
+    assert h.hexdigest() == CLI_GOLDEN
