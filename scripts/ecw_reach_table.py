@@ -10,10 +10,12 @@ number of DP queries it made, the peak memory of the two phases, and
 the time of the branch-and-bound of tests/reference.py, which has to
 prove optimality by itself. Wherever the reference finishes, its (value,
 forest) must equal the found one; the script exits 1 otherwise. Each
-phase is cut after --limit seconds (SIGALRM, so POSIX only) and then
-shows as '-'. The peak memory comes from a second run of both phases
-under tracemalloc, cut after --limit seconds as a whole, so the times
-are taken untraced.
+time is the median of three runs (RUNS); the DP and the find phase run
+in turn, as each find phase asks the DP of its own run. Each run of a
+phase is cut after --limit seconds (SIGALRM, so POSIX only), and a cut
+phase shows as '-', as does the find phase of a cut DP. The peak
+memory comes from one more run of both phases under tracemalloc, cut
+after --limit seconds as a whole, so the times are taken untraced.
 
 The graphs are ladders, walls and seeded random multigraphs: a random
 spanning tree plus n/2 random extra pairs, parallels allowed.
@@ -25,6 +27,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from statistics import median
 
 from treecuts.chargedp import ForestOracle
 from treecuts.ecw import _cores, _indexed, _least_forest, spanning_tree_count
@@ -37,6 +40,9 @@ from reference import least_forest  # noqa: E402
 LADDERS = (8, 10, 12, 16, 20, 30, 40, 60, 80)
 WALLS = (3, 4, 5, 6, 7, 8, 9, 10)
 RANDOM_SIZES = (14, 16, 18, 20, 22, 24, 26, 28, 30, 40, 44, 50)
+# a single run of a phase above about 0.05 s varies too much between
+# runs on a shared machine to show a change
+RUNS = 3
 
 
 class PhaseTimeout(Exception):
@@ -58,6 +64,35 @@ def timed(limit: float, fn, *args):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
     return out, time.perf_counter() - t0
+
+
+def median_timed(limit: float, fn, *args):
+    """(result of the last run, median seconds) of RUNS runs, or
+    (None, None) once a run passes limit seconds."""
+    out, times = None, []
+    for _ in range(RUNS):
+        out, t = timed(limit, fn, *args)
+        if out is None:
+            return None, None
+        times.append(t)
+    return out, median(times)
+
+
+def dp_and_find(limit: float, loops, pairs):
+    """(oracle, (value, forest), median DP s, median find s) of RUNS
+    runs, each find phase asking the DP of its own run. A cut DP gives
+    all None; a cut find phase gives None for the forest and its time."""
+    dp, find = [], []
+    for _ in range(RUNS):
+        oracle, t = timed(limit, ForestOracle, loops, pairs)
+        if oracle is None:
+            return None, None, None, None
+        dp.append(t)
+        chosen, t = timed(limit, _least_forest, len(loops), pairs, oracle)
+        if chosen is None:
+            return oracle, None, median(dp), None
+        find.append(t)
+    return oracle, (oracle.value, tuple(chosen)), median(dp), median(find)
 
 
 def peak_mb(limit: float, loops, pairs):
@@ -104,7 +139,7 @@ def secs(t) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--limit", type=float, default=30.0,
-                    help="seconds allowed to each phase of each graph")
+                    help="seconds allowed to each run of each phase of each graph")
     ap.add_argument("--seed", type=int, default=0,
                     help="offset of the random graphs' seeds")
     args = ap.parse_args()
@@ -117,17 +152,12 @@ def main() -> int:
     for name, g in graphs(args.seed):
         _, loops, pairs = _indexed(g)
         peeled = sum(len(core) for core, _ in _cores(len(loops), pairs)[1])
-        oracle, dp_s = timed(args.limit, ForestOracle, loops, pairs)
-        found = find_s = None
-        if oracle is not None:
-            chosen, find_s = timed(args.limit, _least_forest, len(loops), pairs, oracle)
-            if chosen is not None:
-                found = oracle.value, tuple(chosen)
+        oracle, found, dp_s, find_s = dp_and_find(args.limit, loops, pairs)
         queries = "-" if oracle is None else oracle.queries
         reduced = "-" if oracle is None else sum(len(core) for core, _ in oracle.dps)
         peak = None if found is None else peak_mb(args.limit, loops, pairs)
         mb = "-" if peak is None else f"{peak:.1f}"
-        plain, plain_s = timed(args.limit, least_forest, loops, pairs)
+        plain, plain_s = median_timed(args.limit, least_forest, loops, pairs)
         if found is None or plain is None:
             same = "-"
         else:

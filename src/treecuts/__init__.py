@@ -21,7 +21,6 @@ from .decomposition import (
     decomposable_nodes,
     is_nice,
     is_very_nice,
-    node_stats,
     singleton_decomposition,
     validate,
     width_report,
@@ -106,7 +105,6 @@ __all__ = [
     "make_nice",
     "make_very_nice",
     "max_degree",
-    "node_stats",
     "oracle_provider",
     "parse_decomposition_json",
     "parse_edge_list",

@@ -94,46 +94,28 @@ def approximate_stcw(
     ProviderError."""
     if omega < 1:
         raise ValueError("omega must be positive")
-    threshold = 6 * omega * (omega + 1) ** 2
-    bound = 6 * (omega + 1) ** 3
+    res = ApproxResult(
+        accepted=False, omega=omega, reason="provider-no",
+        b2_threshold=6 * omega * (omega + 1) ** 2, slim_bound=6 * (omega + 1) ** 3,
+    )
     d0 = provider(g, omega)
     if d0 is None:
-        return ApproxResult(
-            accepted=False,
-            omega=omega,
-            reason="provider-no",
-            b2_threshold=threshold,
-            slim_bound=bound,
-        )
+        return res
     try:
         width = width_report(d0, g).width
     except InvalidDecompositionError as e:
         raise ProviderError(f"provider returned an invalid decomposition: {e}") from None
     if width > 2 * omega:
         raise ProviderError(f"provider returned width {width} > 2*omega = {2 * omega}")
-    dvn = make_very_nice(d0, g)
-    rep = width_report(dvn, g)
-    b2_sizes = {t: len(s.children_B2) for t, s in rep.per_node.items()}
-    if any(v > threshold for v in b2_sizes.values()):
-        return ApproxResult(
-            accepted=False,
-            omega=omega,
-            reason="b2-threshold",
-            b2_threshold=threshold,
-            slim_bound=bound,
-            decomposition=dvn,
-            b2_sizes=b2_sizes,
+    res.decomposition = make_very_nice(d0, g)
+    rep = width_report(res.decomposition, g)
+    res.b2_sizes = {t: len(s.children_B2) for t, s in rep.per_node.items()}
+    if any(v > res.b2_threshold for v in res.b2_sizes.values()):
+        res.reason = "b2-threshold"
+        return res
+    if rep.slim_width > res.slim_bound:
+        raise RuntimeError(
+            f"slim width {rep.slim_width} exceeds the bound {res.slim_bound}; not certifying"
         )
-    slim = rep.slim_width
-    if slim > bound:
-        raise RuntimeError(f"slim width {slim} exceeds the bound {bound}; not certifying")
-    return ApproxResult(
-        accepted=True,
-        omega=omega,
-        reason="certified",
-        b2_threshold=threshold,
-        slim_bound=bound,
-        decomposition=dvn,
-        slim_width=slim,
-        b2_sizes=b2_sizes,
-    )
+    res.accepted, res.reason, res.slim_width = True, "certified", rep.slim_width
+    return res

@@ -27,7 +27,8 @@ EdgePair = tuple[int, int]
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration would visit more spanning trees than the budget allows."""
+    """The graph has more spanning forests than the budget allows;
+    exact_ecw refuses it before the charge DP runs."""
 
 
 @dataclass

@@ -223,8 +223,8 @@ def load_graph(text: str) -> MultiGraph:
     return art.base_graph if isinstance(art, SpanningWitness) else art
 
 
-def graph_to_dot(g: MultiGraph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: MultiGraph) -> str:
+    lines = ["graph G {"]
     for v in g.sorted_vertices():
         lines.append(f"  {v};")
     rows = []
@@ -236,9 +236,9 @@ def graph_to_dot(g: MultiGraph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def witness_to_dot(w: SpanningWitness, name: str = "W") -> str:
+def witness_to_dot(w: SpanningWitness) -> str:
     """Host graph with forest edges drawn thick and ghosts dashed."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph W {"]
     ghosts = w.ghost_vertices()
     for v in sorted(w.host.vertices()):
         attr = ' [style=dashed, label="ghost"]' if v in ghosts else ""
@@ -263,8 +263,8 @@ def witness_to_dot(w: SpanningWitness, name: str = "W") -> str:
     return "\n".join(lines) + "\n"
 
 
-def decomposition_to_dot(d: TreeCutDecomposition, name: str = "D") -> str:
-    lines = [f"graph {name} {{"]
+def decomposition_to_dot(d: TreeCutDecomposition) -> str:
+    lines = ["graph D {"]
     for t in d.nodes():
         bag = ",".join(str(v) for v in sorted(d.bags[t]))
         lines.append(f'  n{t} [label="{t}: {{{bag}}}", shape=box];')

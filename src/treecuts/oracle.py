@@ -186,8 +186,7 @@ class _Search:
         return _center_size(self.cut, nbag, groups, self.level) <= self.wmax
 
     def _min_empties(self, y: int) -> float:
-        if y in self.memo:
-            return self.memo[y]
+        """Callers look y up in the memo first."""
         # in-progress marker: the empty bag's partitions of y then lack
         # the single part y, an empty node with one child, ruled out anyway
         self.memo[y] = INF

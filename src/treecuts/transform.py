@@ -147,22 +147,20 @@ def _relaxed_best_first(
 
     def evaluate(dec: TreeCutDecomposition) -> tuple[int, int, int]:
         tp = _TreePass(dec, g)
-        rep = tp.report()
+        width, slim = tp.widths()
         return (
             len(tp.not_nice()),
-            max(rep.slim_width - s0, 0),
-            max(rep.width - w0, 0),
+            max(slim - s0, 0),
+            max(width - w0, 0),
         )
 
     tick = count()
     heap = []
     seen = set()
     for r in sorted(d.parent):
+        # re-rootings at distinct nodes differ in their roots
         seed = _reroot(d, r)
-        sig = _state_signature(seed)
-        if sig in seen:
-            continue
-        seen.add(sig)
+        seen.add(_state_signature(seed))
         budget -= 1
         key = evaluate(seed)
         if key == (0, 0, 0):
@@ -205,14 +203,22 @@ def _nice_pass(d: TreeCutDecomposition, g: MultiGraph) -> _TreePass:
         return tp
     w0, s0 = tp.widths()
     n = len(d.parent)
-    if _verified_dfs(tp, w0, s0, 2000 + 40 * n * n) is not None:
+    dfs_budget = 2000 + 40 * n * n
+    if _verified_dfs(tp, w0, s0, dfs_budget) is not None:
         return tp
     out = _relaxed_best_first(d, g, w0, s0, 6000 + 60 * n * n)
-    if out is None:
-        raise TransformError(
-            f"no reattachment sequence keeps width {w0} / slim width {s0}"
-        )
-    return _TreePass(out, g)
+    if out is not None:
+        return _TreePass(out, g)
+    # the best-first search can give up where the verified DFS from
+    # another root still reaches a nice tree
+    for r in sorted(d.parent):
+        if r != d.root:
+            tp = _TreePass(_reroot(d, r), g)
+            if _verified_dfs(tp, w0, s0, dfs_budget) is not None:
+                return tp
+    raise TransformError(
+        f"no reattachment sequence keeps width {w0} / slim width {s0}"
+    )
 
 
 def make_nice(d: TreeCutDecomposition, g: MultiGraph) -> TreeCutDecomposition:
@@ -221,9 +227,10 @@ def make_nice(d: TreeCutDecomposition, g: MultiGraph) -> TreeCutDecomposition:
     Search over single reattachments, verified against the input's
     width and slim width: the output never exceeds either. A cheap
     violation-focused pass runs first; if it strands, a best-first
-    pass explores the whole reattachment space. Both are capped, and
-    exhausting the caps raises TransformError rather than returning a
-    weaker decomposition.
+    pass explores the whole reattachment space, and if that gives up,
+    the violation-focused pass runs again from each other root. All
+    are capped, and exhausting the caps raises TransformError rather
+    than returning a weaker decomposition.
     """
     return _nice_pass(d, g).d
 

@@ -1,7 +1,9 @@
 import hashlib
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from treecuts.decomposition import (
     TreeCutDecomposition,
@@ -21,6 +23,7 @@ from treecuts import transform
 from treecuts.oracle import exact_width
 from treecuts.transform import (
     TransformError,
+    _reroot,
     _verified_dfs,
     decomposition_to_witness,
     make_nice,
@@ -30,6 +33,7 @@ from treecuts.transform import (
 )
 
 from conftest import chain_decomposition, random_connected_multi, star_decomposition
+from test_decomposition import decomposed
 
 
 def c4():
@@ -78,6 +82,93 @@ def test_make_nice_requires_rerooting():
     after = width_report(out, g)
     assert after.width <= before.width
     assert after.slim_width <= before.slim_width
+
+
+# four bags no nice tree fits at width 2 / slim width 3 (input B); inputs
+# C and D hang vertex paths off them and are fixed by one search only
+FOUR_BAGS = {1: {2, 4}, 3: set(), 0: {0, 1}, 2: {3, 5}}
+
+
+def widths(d, g):
+    rep = width_report(d, g)
+    return rep.width, rep.slim_width
+
+
+def test_make_nice_best_first_moves_past_rerooting():
+    # no re-rooting is nice within widths 2/3; the best-first search
+    # moves node 1 below node 5 in the re-rooting at node 2
+    g = MultiGraph(range(6), [(0, 5), (1, 3), (2, 4), (2, 5), (3, 4)])
+    bags = {3: {4}, 4: set(), 1: {0, 1}, 5: {3}, 0: set(), 2: {2, 5}}
+    d = TreeCutDecomposition(3, {3: None, 4: 3, 1: 4, 5: 3, 0: 4, 2: 4}, bags)
+    assert widths(d, g) == (2, 3)
+    out = make_nice(d, g)
+    assert out.root == 2 and out.bags == bags
+    assert out.parent == {3: 4, 4: 2, 1: 5, 5: 3, 0: 4, 2: None}
+    assert is_nice(out, g) == [] and widths(out, g) == (2, 3)
+
+
+def test_make_nice_raises_when_no_nice_tree_fits():
+    g = MultiGraph(range(6), [(0, 1), (1, 4), (1, 5), (2, 3), (3, 5)])
+    d = TreeCutDecomposition(1, {1: None, 3: 1, 0: 3, 2: 3}, dict(FOUR_BAGS))
+    assert widths(d, g) == (2, 3)
+    with pytest.raises(TransformError):
+        make_nice(d, g)
+    # every rooted tree on the four bags: each nice one is too slim-wide
+    nodes = sorted(FOUR_BAGS)
+    trees = nice = 0
+    for root in nodes:
+        others = [t for t in nodes if t != root]
+        for ups in product(nodes, repeat=len(others)):
+            parent = {root: None, **dict(zip(others, ups))}
+            if any(parent[t] == t for t in others):
+                continue
+            dec = TreeCutDecomposition(root, parent, dict(FOUR_BAGS))
+            if validate(dec, g):
+                continue  # a cycle
+            trees += 1
+            if is_nice(dec, g) == []:
+                nice += 1
+                assert widths(dec, g)[1] == 4
+    assert trees == 64 and nice > 0
+
+
+def test_make_nice_reroots_the_verified_dfs_when_best_first_gives_up():
+    g = MultiGraph(range(9), [(0, 1), (1, 4), (1, 5), (2, 3), (2, 6), (3, 5), (6, 7), (7, 8)])
+    d = TreeCutDecomposition(
+        1, {1: None, 3: 1, 0: 3, 2: 3, 4: 0, 5: 0, 6: 5},
+        {**FOUR_BAGS, 4: {6}, 5: {7}, 6: {8}},
+    )
+    assert widths(d, g) == (3, 3)
+    out = make_nice(d, g)
+    assert out.root == 0 and validate(out, g) == []
+    assert is_nice(out, g) == [] and widths(out, g) == (3, 3)
+
+
+def test_make_nice_best_first_fixes_what_no_verified_dfs_reaches():
+    g = MultiGraph(range(12), [
+        (0, 1), (1, 4), (1, 5), (1, 6), (2, 3), (2, 7), (3, 5), (4, 10), (6, 8), (6, 9), (9, 11),
+    ])
+    d = TreeCutDecomposition(
+        1, {1: None, 3: 1, 0: 3, 2: 3, 4: 0, 5: 1, 6: 4, 7: 6, 8: 1, 9: 4},
+        {**FOUR_BAGS, 4: {6}, 5: {7}, 6: {8}, 7: {9}, 8: {10}, 9: {11}},
+    )
+    assert widths(d, g) == (3, 3)
+    out = make_nice(d, g)
+    assert out.root == 7 and out.bags == d.bags
+    assert out.parent == {1: 3, 3: 0, 0: 4, 2: 3, 4: 6, 5: 2, 6: 7, 7: None, 8: 1, 9: 4}
+    assert is_nice(out, g) == [] and widths(out, g) == (3, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(decomposed())
+def test_reroot_keeps_every_width(case):
+    g, d = case
+    rep = width_report(d, g)
+    for r in d.parent:
+        out = width_report(_reroot(d, r), g)
+        assert (out.width, out.slim_width, out.zero_width) == (
+            rep.width, rep.slim_width, rep.zero_width
+        ), r
 
 
 def test_make_nice_keeps_already_nice():
