@@ -138,7 +138,8 @@ def _approx(args: argparse.Namespace) -> int:
     else:
         raise ValueError("--provider must be 'oracle' or 'exec:<path>'")
     res = approximate_stcw(g, args.omega, provider)
-    dec = res.decomposition and formats.decomposition_to_json(res.decomposition)
+    d = res.decomposition
+    dec = None if d is None else formats.decomposition_to_json(d)
     audit = {
         "accepted": res.accepted,
         "omega": res.omega,
@@ -147,7 +148,7 @@ def _approx(args: argparse.Namespace) -> int:
         "slim_bound": res.slim_bound,
         "slim_width": res.slim_width,
         "b2_sizes": dict(sorted(res.b2_sizes.items())),
-        "decomposition": dec and json.loads(dec),
+        "decomposition": None if dec is None else json.loads(dec),
     }
     print(json.dumps(audit, indent=2), file=sys.stderr)
     if res.accepted:

@@ -119,10 +119,8 @@ def test_make_nice_raises_when_no_nice_tree_fits():
     for root in nodes:
         others = [t for t in nodes if t != root]
         for ups in product(nodes, repeat=len(others)):
-            parent = {root: None, **dict(zip(others, ups))}
-            if any(parent[t] == t for t in others):
-                continue
-            dec = TreeCutDecomposition(root, parent, dict(FOUR_BAGS))
+            dec = TreeCutDecomposition(root, {root: None, **dict(zip(others, ups))},
+                                       dict(FOUR_BAGS))
             if validate(dec, g):
                 continue  # a cycle
             trees += 1
