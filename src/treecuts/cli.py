@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 negative decision (EDP "no", approximation
 "no"), 2 input or validation errors, 3 budget, size-limit or
-out-of-memory errors.
+out-of-memory errors, and normalizations that exhaust their search caps.
 """
 from __future__ import annotations
 
@@ -25,7 +25,11 @@ from .edp import BRUTE_FORCE_EDGE_LIMIT, edp_bruteforce, edp_solve_dp
 from .families import make_family
 from .multigraph import MultiGraph
 from .oracle import SizeLimitError, exact_width
-from .transform import decomposition_to_witness, witness_to_decomposition
+from .transform import (
+    TransformError,
+    decomposition_to_witness,
+    witness_to_decomposition,
+)
 
 
 def _read(path: str) -> str:
@@ -245,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return args.run(args)
-    except (BudgetExceededError, SizeLimitError, MemoryError) as e:
+    except (BudgetExceededError, SizeLimitError, TransformError, MemoryError) as e:
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, RuntimeError, OSError) as e:

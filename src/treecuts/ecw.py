@@ -197,27 +197,24 @@ def feedback_edge_number(g: MultiGraph) -> int:
 
 
 def _det_int(m: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
+    """Bareiss fraction-free determinant of a positive definite integer
+    matrix, without pivoting.
+
+    `_tree_count` passes only the reduced Laplacian of a connected core,
+    which is positive definite; each pivot a[k][k] is then a leading
+    principal minor, so it is positive and no row swap is needed.
+    """
     n = len(m)
     if n == 0:
         return 1
     a = [row[:] for row in m]
-    sign = 1
     prev = 1
     for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return a[n - 1][n - 1]
 
 
 def _cores(

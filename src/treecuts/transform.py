@@ -167,9 +167,7 @@ def _relaxed_best_first(
             return seed
         heapq.heappush(heap, (key, next(tick), seed))
     while heap:
-        key, _, cur = heapq.heappop(heap)
-        if key == (0, 0, 0):
-            return cur
+        _, _, cur = heapq.heappop(heap)
         tp = _TreePass(cur, g)
         nodes = tp.nodes
         for x in nodes:
@@ -196,28 +194,26 @@ def _relaxed_best_first(
 
 
 def _nice_pass(d: TreeCutDecomposition, g: MultiGraph) -> _TreePass:
-    """make_nice's search, returning the pass of its output; the pass
-    built over a copy of d is the one the verified DFS moves along."""
+    """make_nice's search, returning the pass of its output. The verified
+    DFS runs from the input's root, moving the pass built over a copy of
+    d, then from each other node in ascending order; the best-first
+    search runs only once every root has failed."""
     tp = _TreePass(d.copy(), g)
     if not tp.not_nice():
         return tp
     w0, s0 = tp.widths()
     n = len(d.parent)
-    dfs_budget = 2000 + 40 * n * n
-    if _verified_dfs(tp, w0, s0, dfs_budget) is not None:
-        return tp
+    for r in sorted(d.parent, key=lambda t: (t != d.root, t)):
+        if r != d.root:
+            tp = _TreePass(_reroot(d, r), g)
+        if _verified_dfs(tp, w0, s0, 2000 + 40 * n * n) is not None:
+            return tp
     out = _relaxed_best_first(d, g, w0, s0, 6000 + 60 * n * n)
     if out is not None:
         return _TreePass(out, g)
-    # the best-first search can give up where the verified DFS from
-    # another root still reaches a nice tree
-    for r in sorted(d.parent):
-        if r != d.root:
-            tp = _TreePass(_reroot(d, r), g)
-            if _verified_dfs(tp, w0, s0, dfs_budget) is not None:
-                return tp
     raise TransformError(
-        f"no reattachment sequence keeps width {w0} / slim width {s0}"
+        f"no reattachment sequence keeps width {w0} / slim width {s0} "
+        f"(verified DFS from each of {n} roots, then best-first search)"
     )
 
 
@@ -226,11 +222,11 @@ def make_nice(d: TreeCutDecomposition, g: MultiGraph) -> TreeCutDecomposition:
 
     Search over single reattachments, verified against the input's
     width and slim width: the output never exceeds either. A cheap
-    violation-focused pass runs first; if it strands, a best-first
-    pass explores the whole reattachment space, and if that gives up,
-    the violation-focused pass runs again from each other root. All
-    are capped, and exhausting the caps raises TransformError rather
-    than returning a weaker decomposition.
+    violation-focused pass runs from the input's root and then from
+    each other node as root, in ascending order; only if every one
+    strands does a best-first pass explore the whole reattachment
+    space. All are capped, and exhausting the caps raises
+    TransformError rather than returning a weaker decomposition.
     """
     return _nice_pass(d, g).d
 
@@ -272,20 +268,15 @@ def split_decomposables(
             cur.parent[s2] = cur.parent[t] if s == t else clone[p]
             cur.bags[s2] = cur.bags[s] - comp1
             cur.bags[s] = cur.bags[s] & comp1
-        # prune empty leaves of the two affected subtrees to fixpoint
-        affected = set(clone) | set(clone.values())
-        while True:
-            with_children = set(cur.parent.values())
-            prunable = [
-                s
-                for s in affected
-                if s in cur.parent and s not in with_children and not cur.bags[s]
-            ]
-            if not prunable:
-                break
-            for s in prunable:
-                del cur.parent[s]
-                del cur.bags[s]
+        # prune both halves, children before parents: a node goes when its
+        # bag is empty and none of its children is kept
+        held = set()
+        for s in reversed(tp.subtree(t)):
+            for x in (s, clone[s]):
+                if cur.bags[x] or x in held:
+                    held.add(cur.parent[x])
+                else:
+                    del cur.parent[x], cur.bags[x]
     raise TransformError("decomposable splitting did not converge")
 
 

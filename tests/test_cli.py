@@ -99,6 +99,25 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
+def test_failed_normalization_exits_3(tmp_path, capsys):
+    # a valid decomposition with no nice tree within its widths: the
+    # normalization's search caps run out, which is no input error
+    gpath, dpath = tmp_path / "g.txt", tmp_path / "d.json"
+    gpath.write_text("6 5\n0 1\n1 4\n1 5\n2 3\n3 5\n")
+    nodes = [(1, None, [2, 4]), (3, 1, []), (0, 3, [0, 1]), (2, 3, [3, 5])]
+    dpath.write_text(json.dumps({
+        "root": 1, "nodes": [{"id": t, "parent": p, "bag": b} for t, p, b in nodes],
+    }))
+    code, out, _ = run(capsys, "verify-decomp", str(gpath), "--decomp", str(dpath))
+    assert code == 0 and out == "OK\n"
+    code, out, err = run(capsys, "to-witness", str(gpath), "--decomp", str(dpath))
+    assert code == 3 and out == ""
+    assert err == (
+        "error: no reattachment sequence keeps width 2 / slim width 3 "
+        "(verified DFS from each of 4 roots, then best-first search)\n"
+    )
+
+
 def test_edge_list_size_limit_exit(tmp_path, capsys):
     gpath = tmp_path / "huge.txt"
     gpath.write_text("10000000000 0\n")

@@ -67,23 +67,6 @@ def test_make_nice_c4_star_decomposition():
     assert after.slim_width <= before.slim_width
 
 
-def test_make_nice_requires_rerooting():
-    # no nice tree exists over these bags under the original root; the
-    # fix re-roots at the bag holding vertices 0 and 4
-    g = MultiGraph(range(6), [(0, 1), (0, 4), (0, 4), (0, 4), (1, 3), (2, 3), (2, 4), (3, 5), (3, 5)])
-    d = TreeCutDecomposition(
-        0,
-        {0: None, 1: 0, 2: 0, 3: 1, 4: 1, 5: 2},
-        {0: {3}, 1: {0, 4}, 2: {5}, 3: {1}, 4: {2}, 5: set()},
-    )
-    before = width_report(d, g)
-    out = make_nice(d, g)
-    assert is_nice(out, g) == []
-    after = width_report(out, g)
-    assert after.width <= before.width
-    assert after.slim_width <= before.slim_width
-
-
 # four bags no nice tree fits at width 2 / slim width 3 (input B); inputs
 # C and D hang vertex paths off them and are fixed by one search only
 FOUR_BAGS = {1: {2, 4}, 3: set(), 0: {0, 1}, 2: {3, 5}}
@@ -94,16 +77,30 @@ def widths(d, g):
     return rep.width, rep.slim_width
 
 
-def test_make_nice_best_first_moves_past_rerooting():
-    # no re-rooting is nice within widths 2/3; the best-first search
-    # moves node 1 below node 5 in the re-rooting at node 2
+def test_make_nice_runs_the_verified_dfs_from_the_next_root():
+    # no re-rooting is nice within widths 2/3 (input A); the verified DFS
+    # strands from root 3 and succeeds from root 0, the first other root
     g = MultiGraph(range(6), [(0, 5), (1, 3), (2, 4), (2, 5), (3, 4)])
     bags = {3: {4}, 4: set(), 1: {0, 1}, 5: {3}, 0: set(), 2: {2, 5}}
     d = TreeCutDecomposition(3, {3: None, 4: 3, 1: 4, 5: 3, 0: 4, 2: 4}, bags)
     assert widths(d, g) == (2, 3)
     out = make_nice(d, g)
-    assert out.root == 2 and out.bags == bags
-    assert out.parent == {3: 4, 4: 2, 1: 5, 5: 3, 0: 4, 2: None}
+    assert out.root == 0 and out.bags == bags
+    assert out.parent == {0: None, 1: 5, 2: 0, 3: 4, 4: 2, 5: 3}
+    assert is_nice(out, g) == [] and widths(out, g) == (2, 3)
+
+
+def test_make_nice_returns_a_nice_rerooting_as_it_is():
+    # no reattachment fixes the tree under root 0, but re-rooted at node
+    # 1 it is already nice: the verified DFS from there returns its start
+    g = MultiGraph(range(5), [(0, 1), (1, 3), (1, 4), (2, 4)])
+    bags = {0: {4}, 1: {0, 2}, 2: {1, 3}}
+    d = TreeCutDecomposition(0, {0: None, 1: 0, 2: 0}, bags)
+    assert widths(d, g) == (2, 3)
+    assert _verified_dfs(_TreePass(d.copy(), g), 2, 3, 10**6) is None
+    out = make_nice(d, g)
+    assert out.root == 1 and out.bags == bags
+    assert out.parent == {1: None, 0: 1, 2: 0}
     assert is_nice(out, g) == [] and widths(out, g) == (2, 3)
 
 
@@ -169,12 +166,41 @@ def test_reroot_keeps_every_width(case):
         ), r
 
 
+@pytest.mark.parametrize("case, best_first_calls", [
+    (test_make_nice_runs_the_verified_dfs_from_the_next_root, 0),
+    (test_make_nice_returns_a_nice_rerooting_as_it_is, 0),
+    (test_make_nice_raises_when_no_nice_tree_fits, 1),
+    (test_make_nice_reroots_the_verified_dfs_when_best_first_gives_up, 0),
+    (test_make_nice_best_first_fixes_what_no_verified_dfs_reaches, 1),
+], ids=["A", "nice-rerooting", "B", "C", "D"])
+def test_make_nice_tries_best_first_only_after_every_root(
+    monkeypatch, case, best_first_calls
+):
+    # each case keeps its own pinned outcome with the search counted
+    calls = []
+    real = transform._relaxed_best_first
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transform, "_relaxed_best_first", counted)
+    case()
+    assert len(calls) == best_first_calls
+
+
 def test_make_nice_keeps_already_nice():
-    g, d = dstar_w4()
-    assert is_nice(d, g) == []
-    out = make_nice(d, g)
-    assert is_nice(out, g) == []
-    assert width_report(out, g).width == width_report(d, g).width
+    six = MultiGraph(range(6), [(0, 1), (0, 4), (0, 4), (0, 4), (1, 3), (2, 3), (2, 4), (3, 5), (3, 5)])
+    six_tree = TreeCutDecomposition(
+        0,
+        {0: None, 1: 0, 2: 0, 3: 1, 4: 1, 5: 2},
+        {0: {3}, 1: {0, 4}, 2: {5}, 3: {1}, 4: {2}, 5: set()},
+    )
+    for g, d in (dstar_w4(), (six, six_tree)):
+        assert is_nice(d, g) == []
+        out = make_nice(d, g)
+        assert is_nice(out, g) == []
+        assert width_report(out, g).width == width_report(d, g).width
 
 
 def test_make_nice_random_never_worse():
@@ -207,6 +233,38 @@ def test_split_decomposables_example():
     after = width_report(out, g)
     assert after.width <= before.width
     assert after.slim_width <= before.slim_width
+
+
+def split_sources():
+    """Seeded nice decompositions with a decomposable node: random trees
+    over random bags, empty ones included, so splits leave leaves to
+    prune."""
+    rng = random.Random(2207)
+    out = []
+    while len(out) < 32:
+        n = rng.randint(4, 10)
+        g = random_connected_multi(rng, n, rng.randint(0, 3), loops=True)
+        k = rng.randint(2, n + 4)
+        parent = {0: None, **{i: rng.randrange(i) for i in range(1, k)}}
+        bags = {i: set() for i in range(k)}
+        for v in range(n):
+            bags[rng.randrange(k)].add(v)
+        d = TreeCutDecomposition(0, parent, bags)
+        if is_nice(d, g) == [] and decomposable_nodes(d, g):
+            out.append((g, d))
+    return out
+
+
+# recorded from the code before the one-sweep pruning; the 32 inputs
+# take 34 splits, which prune 54 nodes
+SPLIT_GOLDEN = "c40e83ede1836a3f6d6a14ee716aaf07f8de0f523132b855ffb589755418b1e6"
+
+
+def test_split_decomposables_golden():
+    h = hashlib.sha256()
+    for g, d in split_sources():
+        h.update(decomposition_to_json(split_decomposables(d, g)).encode())
+    assert h.hexdigest() == SPLIT_GOLDEN
 
 
 def test_make_very_nice_full_pipeline():
