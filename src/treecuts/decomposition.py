@@ -7,10 +7,11 @@ the cut below the node) and the size of a center of the node's torso,
 where the torso consolidates every other subtree into a single vertex
 and the center prunes it at one of three levels.
 
-The evaluators (width_report, node_stats, the niceness checks) read all
-nodes off one pass over the tree and the edges, with no torso graph
-built; torso, consolidate and center build those graphs explicitly and
-are the reference the pass is tested against.
+One evaluator, _TreePass, reads both for every node off one traversal
+of the tree and one sweep over the edges, with no torso graph built;
+width_report and the niceness checks are thin calls into it. The
+explicit torso and center builders that the docstrings below name, and
+that the tests check the pass against, are in tests/reference.py.
 """
 from __future__ import annotations
 
@@ -117,124 +118,6 @@ def validate(d: TreeCutDecomposition, g: MultiGraph) -> list[str]:
         covered |= bag
     if covered != gv:
         out.append(f"bag union misses vertices {sorted(gv - covered)}")
-    return out
-
-
-def adhesion(d: TreeCutDecomposition, g: MultiGraph, t: int) -> int:
-    """Edges of g crossing the cut below t, with multiplicity; 0 at the root."""
-    if t not in d.parent:
-        raise KeyError(f"unknown node {t}")
-    if t == d.root:
-        return 0
-    return g.cut_size(d.subtree_vertices(t))
-
-
-def consolidate(
-    g: MultiGraph, bag: set[int], parts: list[set[int]]
-) -> MultiGraph:
-    """Shrink each part to a single fresh vertex, keeping only edges that
-    leave it; bag vertices stay as themselves. Empty parts yield nothing.
-    Loops survive only on bag vertices. Fresh ids start above g's range;
-    part i maps to meta["part_vertex"][i] (None when the part was empty).
-    """
-    part_of: dict[int, int] = {}
-    part_vertex: list[int | None] = []
-    nxt = max(g.vertices(), default=-1) + 1
-    for part in parts:
-        if not part:
-            part_vertex.append(None)
-            continue
-        for v in part:
-            part_of[v] = nxt
-        part_vertex.append(nxt)
-        nxt += 1
-    h = MultiGraph(bag)
-    for z in set(part_of.values()):
-        h.add_vertex(z)
-    for u, v, m in g.edge_pairs():
-        mu = part_of.get(u, u)
-        mv = part_of.get(v, v)
-        if u == v:
-            if u in bag:
-                h.add_edge(u, u, m)
-        elif mu != mv:
-            h.add_edge(mu, mv, m)
-    h.meta["part_vertex"] = part_vertex
-    return h
-
-
-def torso(d: TreeCutDecomposition, g: MultiGraph, t: int) -> MultiGraph:
-    """Torso H_t: every component of T - t consolidated into one vertex.
-
-    Consolidation keeps only edges leaving each consolidated part, so no
-    self-loops arise from it (loops already sitting on bag vertices stay).
-    Consolidation vertices get fresh ids above g's id range; meta
-    ["consolidation"] maps each one to the child node it stands for, or to
-    None for the part containing the parent.
-    """
-    if t not in d.parent:
-        raise KeyError(f"unknown node {t}")
-    bag = d.bags[t]
-    children = d.children(t)
-    parts = [d.subtree_vertices(b) for b in children]
-    labels: list[int | None] = list(children)
-    if t != d.root:
-        parts.append(g.vertices() - d.subtree_vertices(t))
-        labels.append(None)
-    h = consolidate(g, bag, parts)
-    origin: dict[int, int | None] = {}
-    for label, z in zip(labels, h.meta.pop("part_vertex")):
-        if z is not None:
-            origin[z] = label
-    h.meta["consolidation"] = origin
-    return h
-
-
-def center(h: MultiGraph, x: set[int], level: int) -> MultiGraph:
-    """Prune (h, x) at the given level; x-vertices are never touched.
-
-    level 1: delete isolated non-x vertices.
-    level 2: exhaustively delete non-x vertices of degree <= 1.
-    level 3: exhaustively suppress non-x vertices of degree <= 2
-             (suppression joins the two neighbors; two parallel edges
-             collapse to a loop on the surviving neighbor).
-
-    The result is unique; processing ascends vertex ids for reproducibility.
-    """
-    if level not in (1, 2, 3):
-        raise ValueError(f"level must be 1, 2 or 3, got {level}")
-    out = h.copy()
-    changed = True
-    while changed:
-        changed = False
-        for v in out.sorted_vertices():
-            if v in x:
-                continue
-            deg = out.degree(v)
-            if level == 1:
-                if deg == 0:
-                    out.remove_vertex(v)
-                    changed = True
-                    break
-            elif level == 2:
-                if deg <= 1:
-                    out.remove_vertex(v)
-                    changed = True
-                    break
-            else:
-                if deg <= 1 or (deg == 2 and out.loops(v)):
-                    out.remove_vertex(v)
-                    changed = True
-                    break
-                if deg == 2:
-                    nbrs = sorted(out.neighbors(v))
-                    out.remove_vertex(v)
-                    if len(nbrs) == 2:
-                        out.add_edge(nbrs[0], nbrs[1])
-                    else:
-                        out.add_edge(nbrs[0], nbrs[0])
-                    changed = True
-                    break
     return out
 
 
@@ -606,12 +489,6 @@ class _TreePass:
             if comp_of[inner[0]] != comp_of[inner[1]]:
                 out.append(t)
         return out
-
-
-def node_stats(d: TreeCutDecomposition, g: MultiGraph, t: int) -> NodeStats:
-    if t not in d.parent:
-        raise KeyError(f"unknown node {t}")
-    return _TreePass(d, g).stats(t)
 
 
 def width_report(d: TreeCutDecomposition, g: MultiGraph) -> WidthReport:

@@ -1,4 +1,4 @@
-"""Edge-cut width: local feedback sets, exact search, sec upper bounds.
+"""Edge-cut width: charges, exact search, sec upper bounds.
 
 A spanning witness is a host multigraph H containing the base graph
 together with a maximal spanning forest T of H. Each non-forest edge
@@ -13,7 +13,9 @@ optimal forest holds it, the pairs kept so far and none of those
 dropped. That walk gives the lex-least optimal forest, the one exact_ecw
 has always returned, with no search. The DP is checked against brute
 force, with and without such constraints, and against the
-branch-and-bound of tests/reference.py.
+branch-and-bound of tests/reference.py. One charge walk, `_top_charge`,
+gives every charge; the per-token local feedback sets that check it are
+in tests/reference.py too.
 """
 from __future__ import annotations
 
@@ -156,29 +158,6 @@ def _top_charge(loops: list[int], pairs, forest, bound: float = math.inf) -> int
     return top
 
 
-def local_feedback_set(
-    h: MultiGraph, t: frozenset[EdgePair] | set[EdgePair], v: int
-) -> set[tuple[int, int, int]]:
-    """Non-forest edge copies of h whose forest path contains v.
-
-    Copies are tokens (u, w, i) with u <= w; for a pair of multiplicity m,
-    copy 0 is the forest edge when (u, w) is in t, so tokens run over the
-    remaining indices. A loop's path is its single endpoint.
-    """
-    if not h.has_vertex(v):
-        raise KeyError(f"vertex {v} not in host")
-    parent, depth = _forest_paths(h.sorted_vertices(), t)
-    fset = set(t)
-    out = set()
-    for u, w, m in h.edge_pairs():
-        start = 0 if u == w or (u, w) not in fset else 1
-        if start >= m:
-            continue
-        if v in _path_vertices(parent, depth, u, w):
-            out.update((u, w, i) for i in range(start, m))
-    return out
-
-
 def ecw_value(h: MultiGraph, t: frozenset[EdgePair] | set[EdgePair]) -> int:
     """1 + max vertex charge; 0 for the empty graph by convention."""
     if h.num_vertices() == 0:
@@ -192,21 +171,17 @@ def witness_ecw(w: SpanningWitness) -> int:
     return ecw_value(w.host, w.forest)
 
 
-def feedback_edge_number(g: MultiGraph) -> int:
-    return g.num_edges() - g.num_vertices() + len(g.components())
-
-
 def _det_int(m: list[list[int]]) -> int:
     """Bareiss fraction-free determinant of a positive definite integer
     matrix, without pivoting.
 
     `_tree_count` passes only the reduced Laplacian of a connected core,
     which is positive definite; each pivot a[k][k] is then a leading
-    principal minor, so it is positive and no row swap is needed.
+    principal minor, so it is positive and no row swap is needed. A core
+    holds a pair, so it has k >= 2 vertices and its matrix is at least
+    1x1.
     """
     n = len(m)
-    if n == 0:
-        return 1
     a = [row[:] for row in m]
     prev = 1
     for k in range(n - 1):

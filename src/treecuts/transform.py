@@ -158,14 +158,12 @@ def _relaxed_best_first(
     heap = []
     seen = set()
     for r in sorted(d.parent):
-        # re-rootings at distinct nodes differ in their roots
+        # re-rootings at distinct nodes differ in their roots; none is nice
+        # within the pair, or the verified DFS from r would have returned it
         seed = _reroot(d, r)
         seen.add(_state_signature(seed))
         budget -= 1
-        key = evaluate(seed)
-        if key == (0, 0, 0):
-            return seed
-        heapq.heappush(heap, (key, next(tick), seed))
+        heapq.heappush(heap, (evaluate(seed), next(tick), seed))
     while heap:
         _, _, cur = heapq.heappop(heap)
         tp = _TreePass(cur, g)

@@ -17,10 +17,24 @@ to the one that yielded it; one-vertex sets, and sets with no allowed
 neighbour of the vertex above, go through the general scan too. It is
 the DP as it was before everything but `hpart` on sets of two or more
 vertices was decided inline.
+
+`adhesion`, `consolidate`, `torso` and `center` build the paper's
+per-node graphs explicitly: the cut below a node, the torso with every
+other subtree shrunk to one vertex, and its 3-, 2- and 1-centers.
+`decomposition._TreePass` reads the same numbers off one pass with no
+graph built, and the oracle and the pass share one center kernel; the
+property tests compare both against these builders.
+`local_feedback_set` lists the non-forest edge copies whose forest path
+holds a vertex, one token per copy, so it checks the charge walk of
+`ecw._top_charge`; `feedback_edge_number` is the cycle rank |E| - |V| +
+components, the trivial upper bound on edge-cut width minus one.
 """
 from __future__ import annotations
 
 from treecuts.chargedp import _ChargeDP
+from treecuts.decomposition import TreeCutDecomposition
+from treecuts.ecw import _forest_paths, _path_vertices
+from treecuts.multigraph import MultiGraph
 from treecuts.oracle import INF, _Search
 
 EdgePair = tuple[int, int]
@@ -365,3 +379,148 @@ def least_forest(
         else:
             break
     return best, best_forest
+
+
+def adhesion(d: TreeCutDecomposition, g: MultiGraph, t: int) -> int:
+    """Edges of g crossing the cut below t, with multiplicity; 0 at the root."""
+    if t not in d.parent:
+        raise KeyError(f"unknown node {t}")
+    if t == d.root:
+        return 0
+    return g.cut_size(d.subtree_vertices(t))
+
+
+def consolidate(
+    g: MultiGraph, bag: set[int], parts: list[set[int]]
+) -> MultiGraph:
+    """Shrink each part to a single fresh vertex, keeping only edges that
+    leave it; bag vertices stay as themselves. Empty parts yield nothing.
+    Loops survive only on bag vertices. Fresh ids start above g's range;
+    part i maps to meta["part_vertex"][i] (None when the part was empty).
+    """
+    part_of: dict[int, int] = {}
+    part_vertex: list[int | None] = []
+    nxt = max(g.vertices(), default=-1) + 1
+    for part in parts:
+        if not part:
+            part_vertex.append(None)
+            continue
+        for v in part:
+            part_of[v] = nxt
+        part_vertex.append(nxt)
+        nxt += 1
+    h = MultiGraph(bag)
+    for z in set(part_of.values()):
+        h.add_vertex(z)
+    for u, v, m in g.edge_pairs():
+        mu = part_of.get(u, u)
+        mv = part_of.get(v, v)
+        if u == v:
+            if u in bag:
+                h.add_edge(u, u, m)
+        elif mu != mv:
+            h.add_edge(mu, mv, m)
+    h.meta["part_vertex"] = part_vertex
+    return h
+
+
+def torso(d: TreeCutDecomposition, g: MultiGraph, t: int) -> MultiGraph:
+    """Torso H_t: every component of T - t consolidated into one vertex.
+
+    Consolidation keeps only edges leaving each consolidated part, so no
+    self-loops arise from it (loops already sitting on bag vertices stay).
+    Consolidation vertices get fresh ids above g's id range; meta
+    ["consolidation"] maps each one to the child node it stands for, or to
+    None for the part containing the parent.
+    """
+    if t not in d.parent:
+        raise KeyError(f"unknown node {t}")
+    bag = d.bags[t]
+    children = d.children(t)
+    parts = [d.subtree_vertices(b) for b in children]
+    labels: list[int | None] = list(children)
+    if t != d.root:
+        parts.append(g.vertices() - d.subtree_vertices(t))
+        labels.append(None)
+    h = consolidate(g, bag, parts)
+    origin: dict[int, int | None] = {}
+    for label, z in zip(labels, h.meta.pop("part_vertex")):
+        if z is not None:
+            origin[z] = label
+    h.meta["consolidation"] = origin
+    return h
+
+
+def center(h: MultiGraph, x: set[int], level: int) -> MultiGraph:
+    """Prune (h, x) at the given level; x-vertices are never touched.
+
+    level 1: delete isolated non-x vertices.
+    level 2: exhaustively delete non-x vertices of degree <= 1.
+    level 3: exhaustively suppress non-x vertices of degree <= 2
+             (suppression joins the two neighbors; two parallel edges
+             collapse to a loop on the surviving neighbor).
+
+    The result is unique; processing ascends vertex ids for reproducibility.
+    """
+    if level not in (1, 2, 3):
+        raise ValueError(f"level must be 1, 2 or 3, got {level}")
+    out = h.copy()
+    changed = True
+    while changed:
+        changed = False
+        for v in out.sorted_vertices():
+            if v in x:
+                continue
+            deg = out.degree(v)
+            if level == 1:
+                if deg == 0:
+                    out.remove_vertex(v)
+                    changed = True
+                    break
+            elif level == 2:
+                if deg <= 1:
+                    out.remove_vertex(v)
+                    changed = True
+                    break
+            else:
+                if deg <= 1 or (deg == 2 and out.loops(v)):
+                    out.remove_vertex(v)
+                    changed = True
+                    break
+                if deg == 2:
+                    nbrs = sorted(out.neighbors(v))
+                    out.remove_vertex(v)
+                    if len(nbrs) == 2:
+                        out.add_edge(nbrs[0], nbrs[1])
+                    else:
+                        out.add_edge(nbrs[0], nbrs[0])
+                    changed = True
+                    break
+    return out
+
+
+def local_feedback_set(
+    h: MultiGraph, t: frozenset[EdgePair] | set[EdgePair], v: int
+) -> set[tuple[int, int, int]]:
+    """Non-forest edge copies of h whose forest path contains v.
+
+    Copies are tokens (u, w, i) with u <= w; for a pair of multiplicity m,
+    copy 0 is the forest edge when (u, w) is in t, so tokens run over the
+    remaining indices. A loop's path is its single endpoint.
+    """
+    if not h.has_vertex(v):
+        raise KeyError(f"vertex {v} not in host")
+    parent, depth = _forest_paths(h.sorted_vertices(), t)
+    fset = set(t)
+    out = set()
+    for u, w, m in h.edge_pairs():
+        start = 0 if u == w or (u, w) not in fset else 1
+        if start >= m:
+            continue
+        if v in _path_vertices(parent, depth, u, w):
+            out.update((u, w, i) for i in range(start, m))
+    return out
+
+
+def feedback_edge_number(g: MultiGraph) -> int:
+    return g.num_edges() - g.num_vertices() + len(g.components())

@@ -150,6 +150,23 @@ def test_bad_usage_exit(capsys):
     capsys.readouterr()
 
 
+def test_bad_pairs_and_providers_exit_2(tmp_path, capsys):
+    gpath = str(tmp_path / "g.txt")
+    run(capsys, "gen", "--family", "windmill", "--r", "2", "-o", gpath)
+    code, out, err = run(capsys, "edp", gpath, "--pairs", "0-1-2")
+    assert code == 2 and out == ""
+    assert err == "error: bad pair '0-1-2'; expected like 0-2\n"
+    code, out, err = run(capsys, "approx", gpath, "--omega", "2", "--provider", "foo")
+    assert code == 2 and out == ""
+    assert err == "error: --provider must be 'oracle' or 'exec:<path>'\n"
+    prog = tmp_path / "bad.sh"
+    prog.write_text("#!/bin/sh\ncat > /dev/null\necho 'DECOMP{bad'\n")
+    prog.chmod(0o755)
+    code, out, err = run(capsys, "approx", gpath, "--omega", "2", "--provider", f"exec:{prog}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: provider emitted bad JSON: not valid JSON: ")
+
+
 def test_edp_yes_and_no(tmp_path, capsys):
     gpath = str(tmp_path / "c4.txt")
     with open(gpath, "w") as fh:

@@ -11,15 +11,10 @@ from treecuts.decomposition import (
     NodeStats,
     TreeCutDecomposition,
     _TreePass,
-    adhesion,
-    center,
-    consolidate,
     decomposable_nodes,
     is_nice,
     is_very_nice,
-    node_stats,
     singleton_decomposition,
-    torso,
     validate,
     width_report,
 )
@@ -29,6 +24,7 @@ from treecuts.multigraph import MultiGraph
 from treecuts.transform import make_very_nice
 
 from conftest import chain_decomposition, random_connected_multi, star_decomposition
+from reference import adhesion, center, consolidate, torso
 
 
 def dstar_w4():
@@ -79,6 +75,14 @@ def test_validate_rejects_broken_tree():
     g = MultiGraph(range(2), [(0, 1)])
     d = TreeCutDecomposition(root=0, parent={0: None, 1: 2, 2: 1}, bags={0: {0, 1}, 1: set(), 2: set()})
     assert validate(d, g)
+    # each of these stops validation at once, with one message
+    cases = [
+        ((5, {0: None}, {0: {0, 1}}), "root 5 is not a node"),
+        ((0, {0: None, 1: 0}, {0: {0, 1}}), "bag map and parent map disagree on the node set"),
+        ((0, {0: None, 1: 7}, {0: {0, 1}, 1: set()}), "node 1 has unknown parent 7"),
+    ]
+    for (root, parent, bags), msg in cases:
+        assert validate(TreeCutDecomposition(root, parent, bags), g) == [msg]
 
 
 def test_empty_bags_are_allowed():
@@ -152,12 +156,13 @@ def test_center_never_touches_bag_vertices():
 
 def test_node_stats_classification():
     g, d = dstar_w4()
-    s = node_stats(d, g, 0)
+    per = width_report(d, g).per_node
+    s = per[0]
     assert s.adhesion == 0 and s.thin
     assert s.tor == 1 and s.tor2 == 5 and s.tor1 == 5
     assert s.children_B2 == frozenset({1, 2, 3, 4})
     assert s.children_A == frozenset()
-    blade = node_stats(d, g, 1)
+    blade = per[1]
     assert blade.adhesion == 2 and blade.thin
     assert blade.tor == 2  # two blade vertices survive, outside collapses
 
@@ -187,7 +192,7 @@ def test_tree_checks_reject_invalid():
         with pytest.raises(InvalidDecompositionError):
             check(d, g)
     with pytest.raises(InvalidDecompositionError):
-        node_stats(d, g, 0)
+        width_report(d, g)
 
 
 def test_per_node_center_chain(corpus_small):

@@ -19,8 +19,6 @@ from treecuts.ecw import (
     _top_charge,
     ecw_value,
     exact_ecw,
-    feedback_edge_number,
-    local_feedback_set,
     sec_upper,
     spanning_tree_count,
     validate_witness,
@@ -30,7 +28,7 @@ from treecuts.families import ladder, wall
 from treecuts.multigraph import MultiGraph
 
 from conftest import random_connected_multi
-from reference import ReferenceChargeDP, least_forest
+from reference import ReferenceChargeDP, feedback_edge_number, least_forest, local_feedback_set
 
 
 def c4():
@@ -154,6 +152,13 @@ def test_validate_witness_flags_problems():
     e = MultiGraph(range(2), [(0, 1)])
     w5 = SpanningWitness(base_graph=e, host=e.copy(), forest=frozenset({(1, 0)}))
     assert validate_witness(w5) == ["forest edge (1,0) is not written as (min, max)"]
+    # a base vertex the host lacks
+    w6 = SpanningWitness(MultiGraph(range(3)), MultiGraph(range(2)), frozenset())
+    assert validate_witness(w6) == ["host misses base vertices [2]"]
+    # a loop is never a forest edge, even when the host carries it
+    lo = MultiGraph(range(2), [(0, 1), (1, 1)])
+    w7 = SpanningWitness(lo, lo.copy(), frozenset({(0, 1), (1, 1)}))
+    assert validate_witness(w7) == ["forest contains loop (1,1)"]
 
 
 def test_witness_with_ghosts_validates():

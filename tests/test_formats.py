@@ -17,6 +17,7 @@ from treecuts.formats import (
     decomposition_to_dot,
     decomposition_to_json,
     graph_to_dot,
+    load_artifact,
     load_graph,
     parse_decomposition_json,
     parse_edge_list,
@@ -68,6 +69,10 @@ def test_parse_edge_list_rejects():
         parse_edge_list("2 1\n0 5\n")
     with pytest.raises(ValueError):
         parse_edge_list("2 1\n0 x\n")
+    with pytest.raises(ValueError, match="^line 1: negative counts in header$"):
+        parse_edge_list("-1 0\n")
+    with pytest.raises(ValueError, match="^line 2: expected 'u v'$"):
+        parse_edge_list("2 1\n0 1 1\n")
 
 
 def test_parse_edge_list_caps_header_size():
@@ -134,6 +139,18 @@ def test_witness_json_rejects():
             '{"graph_vertices": [0, 1], "ghost_vertices": [2],'
             ' "edges": [{"u": 0, "v": 2, "ghost": false}], "tree_edges": []}'
         )
+    with pytest.raises(ValueError, match="^not valid JSON: "):
+        parse_witness_json('{"graph_vertices": [0]')
+    with pytest.raises(ValueError, match='^each edge needs "u", "v" and "ghost"$'):
+        parse_witness_json(
+            '{"graph_vertices": [0, 1], "ghost_vertices": [],'
+            ' "edges": [{"u": 0, "v": 1}], "tree_edges": []}'
+        )
+
+
+def test_load_artifact_rejects_json_of_neither_kind():
+    with pytest.raises(ValueError, match="^JSON input is neither a witness nor a decomposition$"):
+        load_artifact("{}")
 
 
 def test_load_graph_detects_formats():

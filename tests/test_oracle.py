@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treecuts.decomposition import _center_size as _center_kernel
-from treecuts.decomposition import center, consolidate, validate, width_report
+from treecuts.decomposition import validate, width_report
 from treecuts.families import star, windmill
 from treecuts.formats import decomposition_to_json
 from treecuts import oracle
@@ -25,7 +25,7 @@ from treecuts.oracle import (
 )
 
 from conftest import cached_width, connected_graphs_upto, random_connected_multi
-from reference import ReferenceSearch
+from reference import ReferenceSearch, center, consolidate
 
 VARIANTS = ("tcw", "stcw", "tcw0")
 

@@ -272,6 +272,14 @@ def split_sources():
 SPLIT_GOLDEN = "c40e83ede1836a3f6d6a14ee716aaf07f8de0f523132b855ffb589755418b1e6"
 
 
+def test_split_decomposables_requires_nice_input():
+    # nodes 1 and 2 are thin and each sees the other's bag
+    g = MultiGraph(range(3), [(0, 1), (1, 2)])
+    d = TreeCutDecomposition(0, {0: None, 1: 0, 2: 0}, {0: {0}, 1: {1}, 2: {2}})
+    with pytest.raises(ValueError, match=r"^input decomposition is not nice at nodes \[1, 2\]$"):
+        split_decomposables(d, g)
+
+
 def test_split_decomposables_golden():
     h = hashlib.sha256()
     for g, d in split_sources():
@@ -335,6 +343,13 @@ def test_witness_to_decomposition_validates_input():
     w = SpanningWitness(g, g.copy(), frozenset({(0, 1)}))
     with pytest.raises((TransformError, ValueError)):
         witness_to_decomposition(w)
+
+
+def test_witness_to_decomposition_of_empty_witness():
+    e = MultiGraph()
+    d = witness_to_decomposition(SpanningWitness(e, e.copy(), frozenset()))
+    assert d == TreeCutDecomposition(0, {0: None}, {0: set()})
+    assert validate(d, e) == []
 
 
 def test_witness_to_decomposition_disconnected():
