@@ -6,9 +6,11 @@ tree plus n//2 random extra pairs, parallels allowed) and each variant,
 print the exact width, the median time of --repeats calls of
 exact_width, the tracemalloc peak of one more call made on its own, and
 a short digest of the returned decomposition's JSON. Two builds that
-return the same first optima print the same digests. The oracle's bag
-lists are shared by every search in the process, so the timed calls
-have built them before the traced one, and no peak includes them.
+return the same first optima print the same digests. The oracle shares
+its bag lists between the searches of graphs with at most 9 vertices:
+there the timed calls have built them before the traced one, and the
+peak leaves them out. A larger graph's search builds its own lists, so
+from n = 10 on the peak includes them.
 
 Run from the root of a checkout:
 

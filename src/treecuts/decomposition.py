@@ -209,25 +209,25 @@ class _TreePass:
     """Everything the width and niceness checks read off one decomposition
     state, from one traversal of the tree and one sweep over g's edges.
 
-    The traversal gives children (ascending), depths, a preorder in which
-    every subtree is a contiguous run, and Y_t for every node. The sweep
-    walks each edge up from the nodes of its two ends to their lowest
-    common ancestor. The edge crosses the cut of every node passed below
-    that ancestor, which gives adhesions and the outside neighbourhoods
-    N(Y_t), kept as edge-copy counts per neighbour. At a passed node other
-    than an end's own node, the edge joins two groups of that node's
-    torso: the child it came up from and the group of everything outside
-    Y_t. At the ancestor it joins the two children it came up from, unless
-    an end sits in the ancestor's bag. Those counts are the edges between
-    the consolidated groups of every torso, so center sizes come from
-    _center_size over sparse rows with no torso built. A node with one
-    group, no two groups linked, or no linked group of degree 1 needs
-    neither rows nor a peel: its centers keep exactly the groups of
-    degree >= level.
+    The traversal gives children (ascending), depths and Y_t for every
+    node. The sweep walks each edge up from the nodes of its two ends to
+    their lowest common ancestor. The edge crosses the cut of every node
+    passed below that ancestor, which gives adhesions and the outside
+    neighbourhoods N(Y_t), kept as edge-copy counts per neighbour. At a
+    passed node other than an end's own node, the edge joins two groups
+    of that node's torso: the child it came up from and the group of
+    everything outside Y_t. At the ancestor it joins the two children it
+    came up from, unless an end sits in the ancestor's bag. Those counts
+    are the edges between the consolidated groups of every torso, so
+    center sizes come from _center_size over sparse rows with no torso
+    built. A node with one group, no two groups linked, or no linked
+    group of degree 1 needs neither rows nor a peel: its centers keep
+    exactly the groups of degree >= level.
 
     move() keeps the pass current through a reattachment, changing d's
-    parent map itself; recompute the pass after any other change. Raises
-    InvalidDecompositionError on an invalid d.
+    parent map itself: it updates parents, children, Y and the edge walks
+    on the tree path, and depths in t's subtree. Recompute the pass after
+    any other change. Raises InvalidDecompositionError on an invalid d.
     """
 
     def __init__(self, d: TreeCutDecomposition, g: MultiGraph):
@@ -239,24 +239,15 @@ class _TreePass:
         self.nodes = sorted(parent)
         self.children = children = d.children_map()
         self.depth = depth = {d.root: 0}
-        self.order = order = []  # preorder
-        stack = [d.root]
-        while stack:
-            t = stack.pop()
-            order.append(t)
-            for c in children[t]:
-                depth[c] = depth[t] + 1
-                stack.append(c)
-        self.pos = {t: i for i, t in enumerate(order)}
-        self.size: dict[int, int] = {}  # nodes in the subtree
+        order = self.subtree(d.root)
+        for t in order[1:]:
+            depth[t] = depth[parent[t]] + 1
         self.ys: dict[int, set[int]] = {}  # Y_t
         for t in reversed(order):
             y = set(d.bags[t])
-            size = 1
             for c in children[t]:
                 y |= self.ys[c]
-                size += self.size[c]
-            self.ys[t], self.size[t] = y, size
+            self.ys[t] = y
         self.owner = owner = {v: t for t, bag in d.bags.items() for v in bag}
         self.adhesion = dict.fromkeys(parent, 0)
         # N(Y_t): outside neighbour -> edge copies between it and Y_t
@@ -304,12 +295,11 @@ class _TreePass:
         one end in Y_t are re-walked above t only.
         """
         p = self.parent[t]
-        i, n_t = self.pos[t], self.size[t]
-        if p is None or i <= self.pos[q] < i + n_t:
+        if p is None:
             raise InvalidDecompositionError([f"node {q} lies in the subtree of node {t}"])
         if q == p:
             return []
-        depth, parent, owner, size, ys = self.depth, self.parent, self.owner, self.size, self.ys
+        depth, parent, owner, ys = self.depth, self.parent, self.owner, self.ys
         old_side, new_side = [], []
         a, b = p, q
         while a != b:
@@ -319,6 +309,8 @@ class _TreePass:
             else:
                 new_side.append(b)
                 b = parent[b]
+        if t in new_side:  # the walk up from q passed t
+            raise InvalidDecompositionError([f"node {q} lies in the subtree of node {t}"])
         yt = ys[t]
         g = self.g
         crossing = [
@@ -328,39 +320,24 @@ class _TreePass:
             self._walk(p, t, owner[v], None, u, v, -m)
         for s in old_side:
             ys[s] -= yt
-            size[s] -= n_t
         for s in new_side:
             ys[s] |= yt
-            size[s] += n_t
         self.children[p].remove(t)
-        kids = self.children[q]
-        k = bisect.bisect(kids, t)
-        kids.insert(k, t)
+        bisect.insort(self.children[q], t)
         parent[t] = q
-        # the preorder takes children in descending order, so t's run goes
-        # just before that of its next smaller sibling, or ends q's run
-        order, pos = self.order, self.pos
-
-        def cut(x: int) -> int:  # x's position once t's run is cut out
-            return pos[x] - n_t if pos[x] > i else pos[x]
-
-        j = cut(kids[k - 1]) if k else cut(q) + size[q] - n_t
-        run = order[i : i + n_t]
-        del order[i : i + n_t]
-        order[j:j] = run
-        for at in range(min(i, j), max(i, j) + n_t):
-            pos[order[at]] = at
         shift = depth[q] + 1 - depth[t]
-        for s in run:
+        for s in self.subtree(t):
             depth[s] += shift
         for u, v, m in crossing:
             self._walk(q, t, owner[v], None, u, v, m)
         return old_side + new_side + [a]
 
     def subtree(self, t: int) -> list[int]:
-        """Nodes of the subtree rooted at t, in preorder."""
-        i = self.pos[t]
-        return self.order[i : i + self.size[t]]
+        """Nodes of the subtree rooted at t, each after its parent."""
+        out = [t]
+        for s in out:
+            out.extend(self.children[s])
+        return out
 
     def centers(self, t: int, fits: int = -1) -> tuple[int, int, int] | None:
         """Sizes of center(torso(t), bag, level) at levels 3, 2 and 1, or
@@ -450,15 +427,14 @@ class _TreePass:
 
     def not_nice(self) -> list[int]:
         """Thin non-root nodes t whose N(Y_t) meets a sibling subtree,
-        that is, holds a vertex whose node lies strictly below t's parent."""
+        that is, holds a vertex of Y_p outside p's bag, p being t's parent."""
         bad = []
         for t in self.nodes:
             p = self.parent[t]
             if p is None or self.adhesion[t] > 2:
                 continue
-            lo = self.pos[p]
-            hi = lo + self.size[p]
-            if any(lo < self.pos[self.owner[v]] < hi for v in self.outside[t]):
+            yp, bag = self.ys[p], self.d.bags[p]
+            if any(v in yp and v not in bag for v in self.outside[t]):
                 bad.append(t)
         return bad
 

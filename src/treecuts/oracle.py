@@ -21,8 +21,12 @@ VARIANT_LEVEL = {"tcw": 3, "stcw": 2, "tcw0": 1}
 INF = math.inf
 
 # mask: (its bits, its subsets as _Search._bags orders them); bit i is the
-# i-th smallest vertex of whichever graph is searched
+# i-th smallest vertex of whichever graph is searched. Only searches of
+# graphs with at most _SHARED_BAGS_MAX vertices share it, which caps it at
+# 3^9 bags (every subset of every 9-bit mask); a larger graph's search
+# keeps its own lists.
 _BAGS: dict[int, tuple[list[int], list[int]]] = {}
+_SHARED_BAGS_MAX = 9
 
 
 class SizeLimitError(ValueError):
@@ -86,8 +90,10 @@ class _Search:
     scores and the pieces lists depend only on the graph, so they are
     built once and shared by every width bound tried; run(w) then searches
     one bound, and the bounds go upward. Bag lists depend only on the
-    mask, so one module table serves every search; a list holds the bags
-    of at most the largest bound searched yet in the process.
+    mask, so on graphs of at most _SHARED_BAGS_MAX vertices one module
+    table serves every search, and a list holds the bags of at most the
+    largest bound searched yet in the process. A larger graph's lists are
+    built for its search alone and go with it.
 
     _min_empties(y) is the least number of empty bags any valid subtree
     covering exactly y can use, or infinity; the subtree's top node is
@@ -119,6 +125,7 @@ class _Search:
         self.flag = flag = len(self.vertices) + 1  # above every width bound
         self.score = [(c >= level) + (flag if c == 1 < level else 0) for c in self.cut]
         self.pieces_of: dict[int, list[int]] = {}
+        self.bag_lists = _BAGS if len(self.vertices) <= _SHARED_BAGS_MAX else {}
 
     def run(self, wmax: int) -> TreeCutDecomposition | None:
         self.wmax = wmax
@@ -147,11 +154,11 @@ class _Search:
         """Subsets of y by size, then lexicographically by sorted
         vertices, up to at least wmax vertices; callers stop at the first
         bag above wmax, as the center of a torso keeps every bag vertex.
-        The list lives in the module's _BAGS and is extended in place."""
-        kept = _BAGS.get(y)
+        The list lives in bag_lists and is extended in place."""
+        kept = self.bag_lists.get(y)
         if kept is None:
             bits = [1 << i for i in range(y.bit_length()) if y >> i & 1]
-            kept = _BAGS[y] = bits, [0]
+            kept = self.bag_lists[y] = bits, [0]
         bits, bags = kept
         have = bags[-1].bit_count()
         if have < self.wmax and have < len(bits):

@@ -23,11 +23,11 @@ from treecuts.decomposition import (
 )
 from treecuts.families import wall, windmill
 from treecuts.formats import write_edge_list
-from treecuts import oracle
+from treecuts import approx, oracle
 from treecuts.multigraph import MultiGraph
 from treecuts.oracle import exact_width
 
-from conftest import cached_width, random_connected_simple
+from conftest import cached_width, chain_decomposition, random_connected_simple
 
 
 def tree6():
@@ -192,3 +192,12 @@ def test_provider_width_contract_enforced():
 
     with pytest.raises(ProviderError, match="invalid"):
         approximate_stcw(tree6(), 1, provider=drops_a_vertex)
+
+
+def test_refuses_to_certify_past_the_slim_bound(monkeypatch):
+    # a valid provider answer whose normalization came back wider than
+    # the bound 6(omega+1)^3 = 48 raises rather than certifies
+    g = MultiGraph(range(50), [(i, i + 1) for i in range(49)])
+    monkeypatch.setattr(approx, "make_very_nice", lambda d, h: singleton_decomposition(h))
+    with pytest.raises(RuntimeError, match="^slim width 50 exceeds the bound 48; not certifying$"):
+        approximate_stcw(g, 1, provider=lambda h, omega: chain_decomposition(h))

@@ -436,15 +436,23 @@ def pass_fields(tp):
         "parent": dict(tp.parent),
         "children": tp.children,
         "depth": tp.depth,
-        "order": tp.order,
-        "pos": tp.pos,
-        "size": tp.size,
         "ys": tp.ys,
         "adhesion": tp.adhesion,
         "outside": tp.outside,
         "links": tp.links,
         "subtrees": {t: set(tp.subtree(t)) for t in tp.nodes},
     })
+
+
+def assert_answers_match(tp, fresh):
+    """The moved pass flags the nodes a fresh one flags, and every
+    subtree it lists has each node after its parent."""
+    assert tp.not_nice() == fresh.not_nice()
+    for t in tp.nodes:
+        sub = tp.subtree(t)
+        assert sub[0] == t
+        at = {s: i for i, s in enumerate(sub)}
+        assert all(at[tp.parent[s]] < at[s] for s in sub[1:])
 
 
 @settings(max_examples=300, deadline=None)
@@ -474,9 +482,11 @@ def test_move_matches_fresh_pass(case, data):
         assert tp.d.parent[t] == q
         fresh = _TreePass(tp.d.copy(), g)
         assert pass_fields(tp) == pass_fields(fresh)
+        assert_answers_match(tp, fresh)
         rep = fresh.report()
         assert tp.widths() == (rep.width, rep.slim_width)
         assert tp.within(w, s, path) == fresh.within(w, s)
         if data.draw(st.booleans()):
             tp.move(t, old)
             assert pass_fields(tp) == before
+            assert_answers_match(tp, _TreePass(tp.d.copy(), g))

@@ -129,6 +129,10 @@ def test_parallel_copies_charge_separately():
     assert ecw_value(g, forest) == 3
 
 
+def test_ecw_value_of_the_empty_graph_is_zero():
+    assert ecw_value(MultiGraph(), frozenset()) == 0
+
+
 def test_validate_witness_flags_problems():
     g = c4()
     # forest edge not in host

@@ -148,6 +148,19 @@ def test_witness_json_rejects():
         )
 
 
+def test_witness_json_rejects_negative_and_unknown_vertices():
+    with pytest.raises(ValueError, match="^vertex ids must be non-negative, got -1$"):
+        parse_witness_json(
+            '{"graph_vertices": [-1, 0], "ghost_vertices": [], "edges": [],'
+            ' "tree_edges": []}'
+        )
+    with pytest.raises(ValueError, match=r"^edge \(0,5\) uses an unknown vertex$"):
+        parse_witness_json(
+            '{"graph_vertices": [0, 1], "ghost_vertices": [2],'
+            ' "edges": [{"u": 0, "v": 5, "ghost": false}], "tree_edges": []}'
+        )
+
+
 def test_load_artifact_rejects_json_of_neither_kind():
     with pytest.raises(ValueError, match="^JSON input is neither a witness nor a decomposition$"):
         load_artifact("{}")

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treecuts.families import star
 from treecuts.multigraph import (
     DeleteEdge,
     DeleteVertex,
@@ -179,6 +180,19 @@ def test_edge_sum_validation():
         edge_sum(t1, 0, p, 0, [(1, 1)])  # degree mismatch
     with pytest.raises(ValueError):
         edge_sum(t1, 0, t1, 0, [(1, 1), (1, 2)])  # pi slots wrong
+
+
+def test_graph_and_operation_rejections():
+    with pytest.raises(ValueError, match="^vertex ids must be non-negative, got -1$"):
+        MultiGraph([-1])
+    with pytest.raises(ValueError, match="^no vertex 9$"):
+        MultiGraph(range(3)).induced([0, 9])
+    with pytest.raises(TypeError, match="^unknown immersion op 'op'$"):
+        apply_immersion(MultiGraph(range(3)), "op")
+    with pytest.raises(ValueError, match="^pi must pair all 2 slots, got 1$"):
+        edge_sum(star(2), 0, star(2), 0, [(1, 1)])
+    with pytest.raises(ValueError, match="^pi does not match the edge slots at v2$"):
+        edge_sum(star(2), 0, star(2), 0, [(1, 1), (2, 1)])
 
 
 @given(small_multigraphs())

@@ -383,6 +383,13 @@ def test_shared_bag_lists_serve_smaller_bounds(monkeypatch):
         decomposition_to_json(d) for _, d in want]
 
 
+def test_bag_table_is_shared_only_by_small_graphs():
+    # a 10-vertex search keeps its bag lists to itself, so the module
+    # table only ever holds masks of at most 9 vertices
+    exact_width(cycle(10), "tcw", max_vertices=10)
+    assert all(y < 1 << 9 for y in oracle._BAGS)
+
+
 def kernel_and_reference(g, bag, groups, level):
     bit = {v: 1 << i for i, v in enumerate(g.sorted_vertices())}
     masks = [sum(bit[v] for v in grp) for grp in groups]

@@ -207,6 +207,19 @@ def test_make_nice_tries_best_first_only_after_every_root(
     assert len(calls) == best_first_calls
 
 
+def test_relaxed_best_first_stops_at_its_budget(monkeypatch):
+    # input B with a budget of its four seeds: the first child of the
+    # first popped state overruns it before it is evaluated
+    g = MultiGraph(range(6), [(0, 1), (1, 4), (1, 5), (2, 3), (3, 5)])
+    d = TreeCutDecomposition(1, {1: None, 3: 1, 0: 3, 2: 3}, dict(FOUR_BAGS))
+    built = []
+    monkeypatch.setattr(
+        transform, "_TreePass", lambda dec, h: built.append(dec) or _TreePass(dec, h)
+    )
+    assert transform._relaxed_best_first(d, g, 2, 3, 4) is None
+    assert len(built) == 5  # the four seeds and the popped state
+
+
 def test_make_nice_keeps_already_nice():
     g, d = dstar_w4()
     assert is_nice(d, g) == []
