@@ -16,10 +16,11 @@ from typing import Callable, Optional
 from .decomposition import (
     InvalidDecompositionError,
     TreeCutDecomposition,
+    _TreePass,
     width_report,
 )
 from .multigraph import MultiGraph
-from .oracle import _width_at_most
+from .oracle import _PROVIDER_MAX_VERTICES, _width_at_most
 from .transform import make_very_nice
 
 # returns a decomposition of width <= 2*omega, or None meaning tcw > omega
@@ -33,7 +34,7 @@ class ProviderError(RuntimeError):
 def oracle_provider(g: MultiGraph, omega: int) -> TreeCutDecomposition | None:
     """Exact tree-cut width as a (trivially valid) 2-approximation; a None
     proves tcw(g) > omega. No width bound above omega is searched."""
-    found = _width_at_most(g, "tcw", 9, omega)
+    found = _width_at_most(g, "tcw", _PROVIDER_MAX_VERTICES, omega)
     return None if found is None else found[1]
 
 
@@ -102,7 +103,7 @@ def approximate_stcw(
     if d0 is None:
         return res
     try:
-        width = width_report(d0, g).width
+        width, _ = _TreePass(d0, g).widths()
     except InvalidDecompositionError as e:
         raise ProviderError(f"provider returned an invalid decomposition: {e}") from None
     if width > 2 * omega:

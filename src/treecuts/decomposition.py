@@ -224,6 +224,11 @@ class _TreePass:
     group of degree 1 needs neither rows nor a peel: its centers keep
     exactly the groups of degree >= level.
 
+    The structure questions read the same fields, none scanning every
+    edge of g: b_child() is the one B-child test, shared by stats(),
+    split_side() and the witness bridge, and split_side() searches only
+    the edges at N(Y_t) and inside Y_t.
+
     move() keeps the pass current through a reattachment, changing d's
     parent map itself: it updates parents, children, Y and the edge walks
     on the tree path, and depths in t's subtree. Recompute the pass after
@@ -371,27 +376,18 @@ class _TreePass:
         return _center_size(nbag, deg, rows, 3), tor2, tor1
 
     def stats(self, t: int) -> NodeStats:
-        tor, tor2, tor1 = self.centers(t)
         adh = self.adhesion[t]
-        bag = self.d.bags[t]
         a_set, b_set, b2_set = set(), set(), set()
         for b in self.children[t]:
-            nb = self.outside[b].keys()
-            if len(nb) <= 2 and nb <= bag:
+            if self.b_child(b):
                 b_set.add(b)
                 if self.adhesion[b] == 2:
                     b2_set.add(b)
             else:
                 a_set.add(b)
         return NodeStats(
-            adhesion=adh,
-            tor=tor,
-            tor2=tor2,
-            tor1=tor1,
-            thin=adh <= 2,
-            children_A=frozenset(a_set),
-            children_B=frozenset(b_set),
-            children_B2=frozenset(b2_set),
+            adh, *self.centers(t), adh <= 2,
+            frozenset(a_set), frozenset(b_set), frozenset(b2_set),
         )
 
     def report(self) -> WidthReport:
@@ -438,33 +434,34 @@ class _TreePass:
                 bad.append(t)
         return bad
 
-    def crossing(self, t: int) -> list[tuple[int, int]]:
-        """Edges leaving Y_t, one (u, v) entry with u <= v per copy, sorted."""
-        y = self.ys[t]
-        out = []
-        for u, v, m in self.g.edge_pairs():
-            if (u in y) != (v in y):
-                out.extend([(u, v)] * m)
-        return out
+    def b_child(self, t: int) -> bool:
+        """Whether the non-root t is a B child of its parent: N(Y_t) is
+        at most two vertices, all in the parent's bag."""
+        nb = self.outside[t].keys()
+        return len(nb) <= 2 and nb <= self.d.bags[self.parent[t]]
+
+    def split_side(self, t: int) -> set[int] | None:
+        """The vertices a split of t keeps below t, or None when t is not
+        decomposable. t is decomposable when it is a B child of adhesion
+        2 whose two cut edges enter different components of G[Y_t]; the
+        side kept is the component holding the inner end of the least cut
+        edge, each written (u, v) with u <= v. Both cut edges are read off
+        the at most two vertices of N(Y_t) and their neighbours in Y_t."""
+        if self.adhesion[t] != 2 or not self.b_child(t):  # the root's is 0
+            return None
+        g, yt = self.g, self.ys[t]
+        (_, a), (_, b) = sorted(
+            (_norm(o, v), v)
+            for o in self.outside[t]
+            for v in g.neighbors(o)
+            if v in yt
+            for _ in range(g.multiplicity(o, v))
+        )
+        side = next(c for c in g.induced(yt).components() if a in c)
+        return None if b in side else side
 
     def decomposable(self) -> list[int]:
-        out = []
-        for t in self.nodes:
-            p = self.parent[t]
-            if p is None or self.adhesion[t] != 2:
-                continue
-            nb = self.outside[t].keys()
-            if not (len(nb) <= 2 and nb <= self.d.bags[p]):
-                continue
-            yt = self.ys[t]
-            inner = [u if u in yt else v for u, v in self.crossing(t)]
-            comp_of: dict[int, int] = {}
-            for i, comp in enumerate(self.g.induced(yt).components()):
-                for v in comp:
-                    comp_of[v] = i
-            if comp_of[inner[0]] != comp_of[inner[1]]:
-                out.append(t)
-        return out
+        return [t for t in self.nodes if self.split_side(t) is not None]
 
 
 def width_report(d: TreeCutDecomposition, g: MultiGraph) -> WidthReport:

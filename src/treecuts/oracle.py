@@ -21,12 +21,12 @@ VARIANT_LEVEL = {"tcw": 3, "stcw": 2, "tcw0": 1}
 INF = math.inf
 
 # mask: (its bits, its subsets as _Search._bags orders them); bit i is the
-# i-th smallest vertex of whichever graph is searched. Only searches of
-# graphs with at most _SHARED_BAGS_MAX vertices share it, which caps it at
-# 3^9 bags (every subset of every 9-bit mask); a larger graph's search
-# keeps its own lists.
+# i-th smallest vertex of whichever graph is searched. Only searches of at
+# most _PROVIDER_MAX_VERTICES vertices, the most approx.oracle_provider
+# searches, share it, so it holds at most 3^9 bags (every subset of every
+# 9-bit mask); a larger graph's search keeps its own lists.
 _BAGS: dict[int, tuple[list[int], list[int]]] = {}
-_SHARED_BAGS_MAX = 9
+_PROVIDER_MAX_VERTICES = 9
 
 
 class SizeLimitError(ValueError):
@@ -90,7 +90,7 @@ class _Search:
     scores and the pieces lists depend only on the graph, so they are
     built once and shared by every width bound tried; run(w) then searches
     one bound, and the bounds go upward. Bag lists depend only on the
-    mask, so on graphs of at most _SHARED_BAGS_MAX vertices one module
+    mask, so on graphs of at most _PROVIDER_MAX_VERTICES vertices one module
     table serves every search, and a list holds the bags of at most the
     largest bound searched yet in the process. A larger graph's lists are
     built for its search alone and go with it.
@@ -125,7 +125,7 @@ class _Search:
         self.flag = flag = len(self.vertices) + 1  # above every width bound
         self.score = [(c >= level) + (flag if c == 1 < level else 0) for c in self.cut]
         self.pieces_of: dict[int, list[int]] = {}
-        self.bag_lists = _BAGS if len(self.vertices) <= _SHARED_BAGS_MAX else {}
+        self.bag_lists = _BAGS if len(self.vertices) <= _PROVIDER_MAX_VERTICES else {}
 
     def run(self, wmax: int) -> TreeCutDecomposition | None:
         self.wmax = wmax

@@ -12,11 +12,7 @@ import heapq
 from collections.abc import Iterator
 from itertools import count
 
-from .decomposition import (
-    TreeCutDecomposition,
-    _TreePass,
-    is_nice,
-)
+from .decomposition import TreeCutDecomposition, _TreePass
 from .ecw import SpanningWitness, _forest_paths, validate_witness
 from .multigraph import MultiGraph, _norm
 
@@ -27,6 +23,14 @@ class TransformError(RuntimeError):
 
 def _state_signature(d: TreeCutDecomposition):
     return (d.root, tuple(sorted((t, p) for t, p in d.parent.items() if p is not None)))
+
+
+def _signature_after(d: TreeCutDecomposition, node: int, q: int):
+    """_state_signature of d with node moved below q; d is left as it was."""
+    old, d.parent[node] = d.parent[node], q
+    sig = _state_signature(d)
+    d.parent[node] = old
+    return sig
 
 
 def _moves_for(tp: _TreePass, t: int) -> Iterator[tuple[int, int]]:
@@ -92,12 +96,8 @@ def _verified_dfs(
     ]
     while stack:
         undo, move_iter = stack[-1]
-        advanced = False
         for node, q in move_iter:  # resumes the frame's generator
-            old = cur.parent[node]
-            cur.parent[node] = q  # only to read the signature
-            sig = _state_signature(cur)
-            cur.parent[node] = old
+            sig = _signature_after(cur, node, q)
             if sig in seen:
                 continue
             seen.add(sig)
@@ -106,15 +106,15 @@ def _verified_dfs(
                 return None
             # the frame's state is within the pair, so only the nodes the
             # move changed need checking
+            old = cur.parent[node]
             if tp.within(w0, s0, tp.move(node, q)):
                 bad = tp.not_nice()
                 if not bad:
                     return cur
                 stack.append(((node, old), _candidate_moves(tp, bad)))
-                advanced = True
                 break
             tp.move(node, old)
-        if not advanced:
+        else:  # the frame's moves are used up
             stack.pop()
             if undo is not None:
                 tp.move(*undo)
@@ -143,62 +143,59 @@ def _relaxed_best_first(
     """Best-first over the full reattachment space, seeded with every
     re-rooting of the input. Intermediate states may exceed the width
     pair; only the returned tree is constrained, so this reaches fixes
-    the verified DFS cannot."""
+    the verified DFS cannot. Each popped state gets one pass, moved to
+    each candidate and back as the verified DFS moves it."""
 
-    def evaluate(dec: TreeCutDecomposition) -> tuple[int, int, int]:
-        tp = _TreePass(dec, g)
+    def score(tp: _TreePass) -> tuple[int, int, int]:
         width, slim = tp.widths()
-        return (
-            len(tp.not_nice()),
-            max(slim - s0, 0),
-            max(width - w0, 0),
-        )
+        return len(tp.not_nice()), max(slim - s0, 0), max(width - w0, 0)
 
-    tick = count()
-    heap = []
-    seen = set()
+    tick, heap, seen = count(), [], set()
     for r in sorted(d.parent):
         # re-rootings at distinct nodes differ in their roots; none is nice
         # within the pair, or the verified DFS from r would have returned it
         seed = _reroot(d, r)
         seen.add(_state_signature(seed))
         budget -= 1
-        heapq.heappush(heap, (evaluate(seed), next(tick), seed))
+        heapq.heappush(heap, (score(_TreePass(seed, g)), next(tick), seed))
     while heap:
         _, _, cur = heapq.heappop(heap)
         tp = _TreePass(cur, g)
-        nodes = tp.nodes
-        for x in nodes:
-            if cur.parent[x] is None:
+        for x in tp.nodes:
+            old = cur.parent[x]
+            if old is None:
                 continue
             sub_x = set(tp.subtree(x))
-            for q in nodes:
-                if q in sub_x or q == cur.parent[x]:
+            for q in tp.nodes:
+                if q in sub_x or q == old:
                     continue
-                child = cur.copy()
-                child.parent[x] = q
-                sig = _state_signature(child)
+                sig = _signature_after(cur, x, q)
                 if sig in seen:
                     continue
                 seen.add(sig)
                 budget -= 1
                 if budget < 0:
                     return None
-                ck = evaluate(child)
-                if ck == (0, 0, 0):
+                tp.move(x, q)
+                key = score(tp)
+                child = cur.copy()
+                tp.move(x, old)
+                if key == (0, 0, 0):
                     return child
-                heapq.heappush(heap, (ck, next(tick), child))
+                heapq.heappush(heap, (key, next(tick), child))
     return None
 
 
-def _nice_pass(d: TreeCutDecomposition, g: MultiGraph) -> _TreePass:
-    """make_nice's search, returning the pass of its output. The verified
-    DFS runs from the input's root, moving the pass built over a copy of
-    d, then from each other node in ascending order; the best-first
-    search runs only once every root has failed."""
-    tp = _TreePass(d.copy(), g)
+def _nice_pass(tp: _TreePass) -> _TreePass:
+    """make_nice's search over the decomposition tp holds, returning the
+    pass of its output; tp's own decomposition may be changed. The
+    verified DFS runs from the input's root, moving tp, then from each
+    other node in ascending order; the best-first search runs only once
+    every root has failed."""
     if not tp.not_nice():
         return tp
+    # the input, kept apart from tp's parents; no search changes a bag
+    d, g = TreeCutDecomposition(tp.d.root, dict(tp.d.parent), tp.d.bags), tp.g
     w0, s0 = tp.widths()
     n = len(d.parent)
     for r in sorted(d.parent, key=lambda t: (t != d.root, t)):
@@ -226,7 +223,7 @@ def make_nice(d: TreeCutDecomposition, g: MultiGraph) -> TreeCutDecomposition:
     space. All are capped, and exhausting the caps raises
     TransformError rather than returning a weaker decomposition.
     """
-    return _nice_pass(d, g).d
+    return _nice_pass(_TreePass(d.copy(), g)).d
 
 
 def split_decomposables(
@@ -236,25 +233,30 @@ def split_decomposables(
 
     A decomposable node's two cut edges enter different components of its
     subtree graph; the subtree is duplicated, bags are divided between the
-    component of the first cut edge and everything else, the copy hangs
-    off the same parent, and empty leaf bags of both halves are pruned.
-    Requires a nice input and preserves both widths.
+    component of the least cut edge (the pass's split_side) and
+    everything else, the copy hangs off the same parent, and empty leaf
+    bags of both halves are pruned. Requires a nice input, checked on the
+    pass the splitting starts from, and preserves both widths.
     """
-    violations = is_nice(d, g)
+    tp = _TreePass(d.copy(), g)
+    violations = tp.not_nice()
     if violations:
         raise ValueError(f"input decomposition is not nice at nodes {violations}")
-    cur = d.copy()
+    return _split(tp).d
+
+
+def _split(tp: _TreePass) -> _TreePass:
+    """Split tp's decomposable nodes, shallowest first, changing tp's
+    decomposition in place, and return the pass of the result: tp itself
+    when nothing was split."""
+    cur, g = tp.d, tp.g
     cap = (len(cur.parent) + g.num_vertices()) ** 2 + 16
     for _ in range(cap):
-        tp = _TreePass(cur, g)
-        dec = tp.decomposable()
-        if not dec:
-            return cur
-        t = min(dec, key=lambda x: (tp.depth[x], x))
-        yt = tp.ys[t]
-        e1 = tp.crossing(t)[0]
-        inside = e1[0] if e1[0] in yt else e1[1]
-        comp1 = next(c for c in g.induced(yt).components() if inside in c)
+        sides = {t: side for t in tp.nodes if (side := tp.split_side(t)) is not None}
+        if not sides:
+            return tp
+        t = min(sides, key=lambda x: (tp.depth[x], x))
+        comp1 = sides[t]
         # duplicate the subtree; originals keep the comp1 side of each bag
         nxt = cur.fresh_node_id()
         clone: dict[int, int] = {}
@@ -275,17 +277,19 @@ def split_decomposables(
                     held.add(cur.parent[x])
                 else:
                     del cur.parent[x], cur.bags[x]
+        tp = _TreePass(cur, g)
     raise TransformError("decomposable splitting did not converge")
 
 
 def make_very_nice(d: TreeCutDecomposition, g: MultiGraph) -> TreeCutDecomposition:
     """Nice and free of decomposable nodes, widths never increased."""
-    tp = _nice_pass(d, g)
+    tp = _nice_pass(_TreePass(d.copy(), g))
     cap = len(tp.d.parent) + g.num_vertices() + 16
     for _ in range(cap):
-        if not tp.decomposable():  # and nice, as _nice_pass returns it
+        split = _split(tp)
+        if split is tp:  # nothing split, and tp is nice
             return tp.d
-        tp = _nice_pass(split_decomposables(tp.d, g), g)
+        tp = _nice_pass(split)
     raise TransformError("very nice transformation did not converge")
 
 
@@ -302,29 +306,28 @@ def decomposition_to_witness(
     parent bag reuses its unique cut edge as the connector. For a slim
     width k input the result has edge-cut width at most 3(k+1)^2.
     """
-    tp = _nice_pass(d, g)
+    tp = _nice_pass(_TreePass(d.copy(), g))
     nice = tp.d
     host = g.copy()
     forest: set[tuple[int, int]] = set()
 
-    reps: dict[int, set[int]] = {}
-    nxt = max(g.vertices(), default=-1) + 1
-    for t in nice.nodes():
-        bag = nice.bags[t]
-        if bag:
-            reps[t] = set(bag)
-        else:
-            host.add_vertex(nxt)
-            reps[t] = {nxt}
-            nxt += 1
+    def join(a: int, b: int) -> None:
+        # a forest edge of the host, added as a ghost copy when g lacks it
+        if host.multiplicity(a, b) == 0:
+            host.add_edge(a, b)
+        forest.add(_norm(a, b))
 
-    for t in nice.nodes():
-        xs = sorted(reps[t])
-        c = xs[0]
+    rep: dict[int, int] = {}  # each node's least bag vertex, or its ghost
+    nxt = max(g.vertices(), default=-1) + 1
+    for t in tp.nodes:
+        xs = sorted(nice.bags[t])
+        if not xs:
+            host.add_vertex(nxt)
+            xs = [nxt]
+            nxt += 1
+        rep[t] = xs[0]
         for u in xs[1:]:
-            if host.multiplicity(c, u) == 0:
-                host.add_edge(c, u)
-            forest.add(_norm(c, u))
+            join(xs[0], u)
 
     # the least edge of g between the bags of each pair of nodes
     least: dict[tuple[int, int], tuple[int, int]] = {}
@@ -336,19 +339,16 @@ def decomposition_to_witness(
         p = nice.parent[t]
         if p is None:
             continue
-        if tp.adhesion[t] == 1 and tp.outside[t].keys() <= nice.bags[p]:
-            # the unique cut edge doubles as the connector; its inner
-            # endpoint may sit arbitrarily deep below t
-            forest.add(tp.crossing(t)[0])
-            continue
-        edge = least.get(_norm(t, p))
-        if edge is not None:
-            forest.add(edge)
+        if tp.adhesion[t] == 1 and tp.b_child(t):
+            # the unique cut edge doubles as the connector: the one vertex
+            # of N(Y_t) and its one neighbour in Y_t, which may sit
+            # arbitrarily deep below t
+            (o,) = tp.outside[t]
+            forest.add(_norm(o, next(v for v in g.neighbors(o) if v in tp.ys[t])))
+        elif _norm(t, p) in least:
+            forest.add(least[_norm(t, p)])
         else:
-            a, b = min(reps[t]), min(reps[p])
-            if host.multiplicity(a, b) == 0:
-                host.add_edge(a, b)
-            forest.add(_norm(a, b))
+            join(rep[t], rep[p])
 
     w = SpanningWitness(g.copy(), host, frozenset(forest))
     problems = validate_witness(w)

@@ -25,7 +25,7 @@ from treecuts.families import wall, windmill
 from treecuts.formats import write_edge_list
 from treecuts import approx, oracle
 from treecuts.multigraph import MultiGraph
-from treecuts.oracle import exact_width
+from treecuts.oracle import SizeLimitError, exact_width
 
 from conftest import cached_width, chain_decomposition, random_connected_simple
 
@@ -178,6 +178,15 @@ def test_oracle_provider_width_contract(monkeypatch):
             if d is not None:
                 assert width_report(d, g).width <= 2 * omega
                 assert (d.parent, d.bags) == (want.parent, want.bags)
+
+
+def test_oracle_provider_refuses_graphs_past_its_cap():
+    # the provider searches at most the oracle's shared bag table cap
+    g = MultiGraph(range(10), [(i, i + 1) for i in range(9)])
+    cap = oracle._PROVIDER_MAX_VERTICES
+    assert cap == 9
+    with pytest.raises(SizeLimitError, match=f"^10 vertices exceed the search limit {cap}$"):
+        oracle_provider(g, 1)
 
 
 def test_provider_width_contract_enforced():

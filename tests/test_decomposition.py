@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treecuts.decomposition import (
@@ -283,6 +283,11 @@ def reference_is_nice(d, g):
     return bad
 
 
+def reference_cut_edges(g, yt):
+    """Edge copies leaving yt, (u, v) with u <= v, in g.edges() order."""
+    return [(u, v) for u, v in g.edges() if (u in yt) != (v in yt)]
+
+
 def reference_decomposable(d, g):
     out = []
     for t in d.nodes():
@@ -342,6 +347,52 @@ def test_node_stats_match_reference(case):
         assert rep.per_node[t] == want, t
     assert is_nice(d, g) == reference_is_nice(d, g)
     assert decomposable_nodes(d, g) == reference_decomposable(d, g)
+
+
+@st.composite
+def cut_by_two(draw):
+    """decomposed() with every edge leaving one non-root node's Y_t
+    replaced by two edges from its parent's bag into Y_t: a B child of
+    adhesion 2, decomposable when they enter two components of G[Y_t].
+    Half the time G[Y_t] is first cut in two, one edge entering each."""
+    g, d = draw(decomposed())
+    nodes = [
+        t for t in d.nodes()
+        if d.parent[t] is not None and d.bags[d.parent[t]] and len(d.subtree_vertices(t)) > 1
+    ]
+    assume(nodes)
+    t = draw(st.sampled_from(nodes))
+    yt = d.subtree_vertices(t)
+    kept = [(u, v) for u, v in g.edges() if (u in yt) == (v in yt)]
+    side = {v for v in sorted(yt) if draw(st.booleans())}
+    if side and side != yt and draw(st.booleans()):
+        kept = [(u, v) for u, v in kept if (u in side) == (v in side)]
+        inner = [sorted(side), sorted(yt - side)]
+    else:
+        inner = [sorted(yt)] * 2
+    bag = sorted(d.bags[d.parent[t]])
+    ends = [(draw(st.sampled_from(bag)), draw(st.sampled_from(vs))) for vs in inner]
+    return MultiGraph(g.vertices(), kept + ends), d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(decomposed(), cut_by_two()))
+def test_split_side_matches_reference(case):
+    # a decomposable node keeps the component of G[Y_t] that holds the
+    # inner end of its least cut edge, recomputed from every edge of g;
+    # every other node has no split side
+    g, d = case
+    tp = _TreePass(d, g)
+    dec = reference_decomposable(d, g)
+    for t in d.nodes():
+        if t not in dec:
+            assert tp.split_side(t) is None, t
+            continue
+        yt = d.subtree_vertices(t)
+        u, v = min(reference_cut_edges(g, yt))
+        inner = u if u in yt else v
+        side = next(c for c in g.induced(yt).components() if inner in c)
+        assert tp.split_side(t) == side, t
 
 
 @settings(max_examples=300, deadline=None)

@@ -33,7 +33,7 @@ from treecuts.transform import (
 )
 
 from conftest import chain_decomposition, random_connected_multi, star_decomposition
-from test_decomposition import decomposed
+from test_decomposition import decomposed, reference_cut_edges
 
 
 def c4():
@@ -145,7 +145,7 @@ def test_make_nice_raises_when_no_nice_tree_fits():
     assert trees == 64 and nice > 0
 
 
-def test_make_nice_reroots_the_verified_dfs_when_best_first_gives_up():
+def test_make_nice_reroots_the_verified_dfs_without_best_first():
     g = MultiGraph(range(9), [(0, 1), (1, 4), (1, 5), (2, 3), (2, 6), (3, 5), (6, 7), (7, 8)])
     d = TreeCutDecomposition(
         1, {1: None, 3: 1, 0: 3, 2: 3, 4: 0, 5: 0, 6: 5},
@@ -188,7 +188,7 @@ def test_reroot_keeps_every_width(case):
     (test_make_nice_runs_the_verified_dfs_from_the_next_root, 0),
     (test_make_nice_returns_a_nice_rerooting_as_it_is, 0),
     (test_make_nice_raises_when_no_nice_tree_fits, 1),
-    (test_make_nice_reroots_the_verified_dfs_when_best_first_gives_up, 0),
+    (test_make_nice_reroots_the_verified_dfs_without_best_first, 0),
     (test_make_nice_best_first_fixes_what_no_verified_dfs_reaches, 1),
 ], ids=["A", "nice-rerooting", "B", "C", "D"])
 def test_make_nice_tries_best_first_only_after_every_root(
@@ -240,6 +240,27 @@ def test_make_nice_random_never_worse():
         after = width_report(out, g)
         assert after.width <= before.width
         assert after.slim_width <= before.slim_width
+
+
+@settings(max_examples=150, deadline=None)
+@given(decomposed())
+def test_witness_connector_is_the_one_cut_edge(case):
+    # every adhesion-1 B child of a nice tree hangs off its parent by its
+    # one cut edge, recomputed from every edge of g
+    g, d = case
+    try:
+        nice = make_nice(d, g)
+    except TransformError:
+        return
+    forest = decomposition_to_witness(g, nice).forest
+    for t in nice.nodes():
+        p = nice.parent[t]
+        if p is None:
+            continue
+        yt = nice.subtree_vertices(t)
+        cut = reference_cut_edges(g, yt)
+        if len(cut) == 1 and g.neighborhood(yt) <= nice.bags[p]:
+            assert cut[0] in forest, t
 
 
 def test_split_decomposables_example():
