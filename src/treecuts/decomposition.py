@@ -297,7 +297,8 @@ class _TreePass:
         included) would break validity; that raises
         InvalidDecompositionError and leaves the pass untouched. Edges
         with both ends in Y_t or none keep their walks, and those with
-        one end in Y_t are re-walked above t only.
+        one end in Y_t, read off their outer ends in N(Y_t), are
+        re-walked above t only.
         """
         p = self.parent[t]
         if p is None:
@@ -317,10 +318,8 @@ class _TreePass:
         if t in new_side:  # the walk up from q passed t
             raise InvalidDecompositionError([f"node {q} lies in the subtree of node {t}"])
         yt = ys[t]
-        g = self.g
-        crossing = [
-            (u, v, g.multiplicity(u, v)) for u in yt for v in g.neighbors(u) if v not in yt
-        ]
+        adj = self.g._adj
+        crossing = [(u, v, m) for v in self.outside[t] for u, m in adj[v].items() if u in yt]
         for u, v, m in crossing:
             self._walk(p, t, owner[v], None, u, v, -m)
         for s in old_side:

@@ -350,38 +350,21 @@ def _least_forest(n: int, pairs: list[tuple[int, int, int]], oracle) -> list[Edg
     return chosen
 
 
-def sec_upper(
-    g: MultiGraph,
-    d_opt=None,
-    budget: int = 10**6,
-) -> tuple[int, SpanningWitness]:
+def _dfs_forest(g: MultiGraph) -> frozenset[EdgePair]:
+    """The DFS forest `_forest_paths` roots over g's own distinct pairs."""
+    parent, _ = _forest_paths(g.sorted_vertices(), [(u, v) for u, v, _ in g.edge_pairs()])
+    return frozenset(_norm(v, p) for v, p in parent.items() if p is not None)
+
+
+def sec_upper(g: MultiGraph) -> tuple[int, SpanningWitness]:
     """Upper bound on super edge-cut width, with the witness achieving it.
 
-    Candidates: the exact ecw forest of g itself (any such witness also
-    bounds sec), and the witness built from a slim-width-optimal tree-cut
-    decomposition (supplied, or oracle-found when g is small enough).
-    Falls back to a plain DFS forest if neither route is available.
+    Within exact_ecw's default budget this is exact_ecw(g): a witness of
+    g itself, with no ghosts, also bounds sec. Above the budget it is the
+    DFS forest of `_dfs_forest`, with its ecw_value.
     """
-    candidates: list[tuple[int, SpanningWitness]] = []
     try:
-        candidates.append(exact_ecw(g, budget))
+        return exact_ecw(g)
     except BudgetExceededError:
-        pass
-    d = d_opt
-    if d is None:
-        from .oracle import SizeLimitError, exact_width
-
-        try:
-            _, d = exact_width(g, "stcw")
-        except SizeLimitError:
-            d = None
-    if d is not None:
-        from .transform import decomposition_to_witness
-
-        w = decomposition_to_witness(g, d)
-        candidates.append((witness_ecw(w), w))
-    if not candidates:
-        parent, _ = _forest_paths(g.sorted_vertices(), [(u, v) for u, v, _ in g.edge_pairs()])
-        forest = frozenset(_norm(v, p) for v, p in parent.items() if p is not None)
-        candidates.append((ecw_value(g, forest), SpanningWitness(g.copy(), g.copy(), forest)))
-    return min(candidates, key=lambda c: c[0])
+        forest = _dfs_forest(g)
+        return ecw_value(g, forest), SpanningWitness(g.copy(), g.copy(), forest)

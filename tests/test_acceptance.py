@@ -105,7 +105,7 @@ def test_ac3_inequality_chains(corpus):
         if not tcw <= stcw <= tcw0:
             violations.append((sorted(g.edges()), "variant order", tcw, stcw, tcw0))
         ecw, _ = exact_ecw(g)
-        sec, sw = sec_upper(g, d_opt=vals["stcw"][1])
+        sec, sw = sec_upper(g)
         fen = feedback_edge_number(g)
         if not (tcw <= sec <= ecw <= fen + 1):
             violations.append((sorted(g.edges()), "ecw chain", tcw, sec, ecw, fen))

@@ -1,19 +1,22 @@
+import ast
 import hashlib
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecuts import chargedp
+from treecuts import chargedp, ecw
 from treecuts.chargedp import ForestOracle, _ChargeDP
 from treecuts.ecw import (
     BudgetExceededError,
     EdgePair,
     SpanningWitness,
     _cores,
+    _dfs_forest,
     _indexed,
     _least_forest,
     _top_charge,
@@ -197,25 +200,37 @@ def test_sec_upper_is_sandwiched(corpus_small):
         assert up >= 1
 
 
-def test_sec_upper_decomposition_route():
-    # budget too small for enumeration: the bound must come from a
-    # slim-optimal decomposition's witness instead
-    up, w = sec_upper(k4(), budget=10)
-    assert validate_witness(w) == []
-    assert up >= 1
-
-
 def test_sec_upper_dfs_fallback():
-    g = wall(6)  # too many spanning trees, too large for the oracle
-    up, w = sec_upper(g, budget=100)
+    g = wall(6)  # too many spanning trees for the default budget
+    up, w = sec_upper(g)
     assert validate_witness(w) == []
     assert up <= feedback_edge_number(g) + 1
 
 
+def over_budget_graph() -> MultiGraph:
+    """Nine pairs with 3 to 14 copies each on vertices 0..5: 2,924,146
+    spanning trees, past exact_ecw's default budget; its ecw is 43."""
+    g = MultiGraph(range(6))
+    copies = {(0, 1): 14, (0, 3): 4, (0, 5): 13, (1, 2): 6, (1, 3): 8,
+              (1, 5): 3, (2, 4): 11, (3, 4): 10, (4, 5): 9}
+    for (u, v), m in copies.items():
+        g.add_edge(u, v, m)
+    return g
+
+
+def test_sec_upper_over_budget_is_the_dfs_forest():
+    g = over_budget_graph()
+    assert spanning_tree_count(g) == 2_924_146
+    assert exact_ecw(g, budget=3_000_000)[0] == 43
+    up, w = sec_upper(g)
+    assert validate_witness(w) == []
+    assert w.forest == _dfs_forest(g)
+    assert up == ecw_value(g, w.forest) == 56
+
+
 def fallback_graphs() -> list[MultiGraph]:
-    """Graphs with too many spanning trees for budget 100 and too many
-    vertices for the oracle: two walls, and two seeded loopy components
-    on sparse labels plus the isolated vertex 40."""
+    """Two walls, and two seeded loopy components on sparse labels plus
+    the isolated vertex 40."""
     g = MultiGraph([40])
     rng = random.Random(3306)
     for off in (0, 1):
@@ -228,17 +243,17 @@ def fallback_graphs() -> list[MultiGraph]:
 
 
 # Recorded from the DFS fallback that visited sorted(g.neighbors(u)) per
-# vertex, before the fallback was read off _forest_paths; pins the forest.
+# vertex, before the fallback was read off _forest_paths; pins the forest
+# that sec_upper returns above the budget.
 FALLBACK_DIGEST = "9a862d737b171f71220bd990e42dd9ae3503a2e5861bda12fe07be739062d4c0"
 
 
 def test_sec_upper_fallback_forest_golden():
     h = hashlib.sha256()
     for g in fallback_graphs():
-        assert g.num_vertices() > 6 and spanning_tree_count(g) > 100
-        up, w = sec_upper(g, budget=100)
-        assert validate_witness(w) == []
-        h.update(f"{up} {sorted(w.forest)}\n".encode())
+        forest = _dfs_forest(g)
+        assert validate_witness(SpanningWitness(g, g.copy(), forest)) == []
+        h.update(f"{ecw_value(g, forest)} {sorted(forest)}\n".encode())
     assert h.hexdigest() == FALLBACK_DIGEST
 
 
@@ -318,6 +333,14 @@ def test_exact_ecw_matches_reference(g):
 def test_charge_dp_matches_reference(g):
     _, loops, pairs = _indexed(g)
     assert ForestOracle(loops, pairs).value == reference_ecw(g)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_multigraphs())
+def test_sec_upper_is_exact_ecw_within_budget(g):
+    up, w = sec_upper(g)
+    val, exact = exact_ecw(g)
+    assert (up, w.forest) == (val, exact.forest)
 
 
 def test_charge_dp_matches_search_past_brute_force():
@@ -764,3 +787,17 @@ def test_ladder12_within_raised_budget():
     assert val == 3
     assert validate_witness(w) == []
     assert witness_ecw(w) == 3
+
+
+def test_ecw_imports_neither_oracle_nor_transform():
+    # transform imports ecw, so ecw importing transform is a cycle, and ecw
+    # needs no width search; nested imports count, since they hid both
+    names = set()
+    for node in ast.walk(ast.parse(Path(ecw.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{a.name}" for a in node.names)
+    assert "chargedp" in names  # exact_ecw's import on first use is read
+    assert not {part for n in names for part in n.split(".")} & {"oracle", "transform"}
