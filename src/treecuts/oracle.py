@@ -20,12 +20,16 @@ VARIANT_LEVEL = {"tcw": 3, "stcw": 2, "tcw0": 1}
 
 INF = math.inf
 
-# mask: (its bits, its subsets as _Search._bags orders them); bit i is the
-# i-th smallest vertex of whichever graph is searched. Only searches of at
-# most _PROVIDER_MAX_VERTICES vertices, the most approx.oracle_provider
-# searches, share it, so it holds at most 3^9 bags (every subset of every
-# 9-bit mask); a larger graph's search keeps its own lists.
+# Tables that depend only on the mask, so one serves every search;
+# bit i is the i-th smallest vertex of whichever graph is searched.
+# _BAGS maps a mask to (its bits, its subsets as _Search._bags orders
+# them) and _PIECES a mask to its _Search._pieces list. Only searches of
+# at most _PROVIDER_MAX_VERTICES vertices, the most approx.oracle_provider
+# searches, share them, and only for masks of their own graph, so each
+# holds at most 3^9 subsets in all (every subset of every 9-bit mask); a
+# larger graph's search keeps its own lists.
 _BAGS: dict[int, tuple[list[int], list[int]]] = {}
+_PIECES: dict[int, list[int]] = {}
 _PROVIDER_MAX_VERTICES = 9
 
 
@@ -86,14 +90,16 @@ def _check_size(n: int, max_vertices: int) -> None:
 class _Search:
     """Feasibility search over vertex subsets encoded as int bit masks.
 
-    Bit i stands for the i-th smallest vertex. The cut table, the torso
-    scores and the pieces lists depend only on the graph, so they are
-    built once and shared by every width bound tried; run(w) then searches
-    one bound, and the bounds go upward. Bag lists depend only on the
-    mask, so on graphs of at most _PROVIDER_MAX_VERTICES vertices one module
-    table serves every search, and a list holds the bags of at most the
-    largest bound searched yet in the process. A larger graph's lists are
-    built for its search alone and go with it.
+    Bit i stands for the i-th smallest vertex. The cut table and the
+    torso scores depend only on the graph, so they are built once and
+    shared by every width bound tried; run(w) then searches one bound,
+    and the bounds go upward. Bag and pieces lists depend only on the
+    mask, so on graphs of at most _PROVIDER_MAX_VERTICES vertices the
+    module tables _BAGS and _PIECES serve every search, and a bag list
+    holds the bags of at most the largest bound searched yet in the
+    process. A larger graph's lists are built for its search alone and go
+    with it. A pieces list of a mask outside the graph, which only a
+    direct call can ask for, is not kept at all.
 
     _min_empties(y) is the least number of empty bags any valid subtree
     covering exactly y can use, or infinity; the subtree's top node is
@@ -124,8 +130,9 @@ class _Search:
         self.cut = _cut_table(g)
         self.flag = flag = len(self.vertices) + 1  # above every width bound
         self.score = [(c >= level) + (flag if c == 1 < level else 0) for c in self.cut]
-        self.pieces_of: dict[int, list[int]] = {}
-        self.bag_lists = _BAGS if len(self.vertices) <= _PROVIDER_MAX_VERTICES else {}
+        shared = len(self.vertices) <= _PROVIDER_MAX_VERTICES
+        self.bag_lists = _BAGS if shared else {}
+        self.pieces_of = _PIECES if shared else {}
 
     def run(self, wmax: int) -> TreeCutDecomposition | None:
         self.wmax = wmax
@@ -179,7 +186,8 @@ class _Search:
                 s = (s - 1) & others
                 subs.append(pivot | s)
             subs.reverse()
-            self.pieces_of[remaining] = subs
+            if remaining <= self.all:
+                self.pieces_of[remaining] = subs
         return subs
 
     def _torso_ok(self, y: int, x: int, parts: tuple[int, ...]) -> bool:
@@ -201,6 +209,7 @@ class _Search:
         best: float = INF
         best_choice = None
         wmax, flag, up_score = self.wmax, self.flag, self.score[self.all ^ y]
+        parts_of = self.parts_of
         for x in self._bags(y):
             nbag = x.bit_count()
             if nbag > wmax:
@@ -213,7 +222,10 @@ class _Search:
                     break
                 continue
             fixed = nbag + up_score
-            for parts, cost, score in self._partitions(rest):
+            listed = parts_of.get(rest)
+            if listed is None:
+                listed = self._partitions(rest)
+            for parts, cost, score in listed:
                 total = own + cost
                 if total < best:
                     size = fixed + score  # the center's size unless flagged
@@ -260,24 +272,27 @@ class _Search:
 
 def _cut_table(g: MultiGraph) -> list[int]:
     """cut[m] is the number of edge copies leaving the vertex set m, bit i
-    of m standing for the i-th smallest vertex of g. Adding vertex v to a
-    set s adds v's degree and takes back twice the copies between v and s."""
+    of m standing for the i-th smallest vertex of g. A set with highest
+    vertex i and rest r has cut = cut[r] + deg(i) - 2 copies(i, r); the
+    last two terms are built for every r below bit i by doubling, one step
+    per set and no neighbour loop."""
     index = {v: i for i, v in enumerate(g.sorted_vertices())}
     deg = [0] * len(index)
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in index]
+    copies = [[0] * len(index) for _ in index]
     for u, v, m in g.edge_pairs():
         if u != v:
             a, b = index[u], index[v]
             deg[a] += m
             deg[b] += m
-            nbrs[a].append((1 << b, m))
-            nbrs[b].append((1 << a, m))
-    cut = [0] * (1 << len(index))
-    for s in range(1, len(cut)):
-        low = s & -s
-        rest = s ^ low
-        i = low.bit_length() - 1
-        cut[s] = cut[rest] + deg[i] - 2 * sum(m for b, m in nbrs[i] if rest & b)
+            copies[a][b] += m
+            copies[b][a] += m
+    cut = [0]
+    for i, row in enumerate(copies):
+        gain = [deg[i]]  # gain[r] = cut[r | 1 << i] - cut[r] for r below bit i
+        for j in range(i):
+            c = 2 * row[j]
+            gain += [x - c for x in gain] if c else gain
+        cut += [c + x for c, x in zip(cut, gain)]
     return cut
 
 

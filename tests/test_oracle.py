@@ -390,6 +390,41 @@ def test_bag_table_is_shared_only_by_small_graphs():
     assert all(y < 1 << 9 for y in oracle._BAGS)
 
 
+def test_piece_table_is_shared_only_by_small_graphs(monkeypatch):
+    # a 10-vertex search keeps its pieces lists to itself, and a direct
+    # call for a mask wider than the searched graph stores nothing, so the
+    # module table only ever holds masks of at most 9 vertices
+    monkeypatch.setattr(oracle, "_PIECES", {})
+    exact_width(cycle(10), "tcw", max_vertices=10)
+    wide = (1 << 14) - 1
+    assert _Search(MultiGraph(), 3)._pieces(wide) == range_scan_pieces(wide)
+    assert not oracle._PIECES
+    exact_width(cycle(9), "tcw", max_vertices=9)
+    assert oracle._PIECES and all(y < 1 << 9 for y in oracle._PIECES)
+
+
+def test_shared_tables_keep_first_optima(monkeypatch):
+    # the first optima do not depend on what earlier searches left in the
+    # shared bag and pieces tables
+    small = [needs_an_empty_bag(), cycle(6), star(5), path(7)]
+
+    def optima():
+        return [decomposition_to_json(d) for g in small for var in VARIANTS
+                for d in [exact_width(g, var, max_vertices=7)[1]]]
+
+    monkeypatch.setattr(oracle, "_BAGS", {})
+    monkeypatch.setattr(oracle, "_PIECES", {})
+    want = optima()
+    monkeypatch.setattr(oracle, "_BAGS", {})
+    monkeypatch.setattr(oracle, "_PIECES", {})
+    k6 = MultiGraph(range(6), [(a, b) for a in range(6) for b in range(a + 1, 6)])
+    for var in VARIANTS:
+        exact_width(k6, var)
+        exact_width(cycle(9), var, max_vertices=9)
+    assert (1 << 9) - 1 in oracle._BAGS and (1 << 9) - 1 in oracle._PIECES
+    assert optima() == want
+
+
 def kernel_and_reference(g, bag, groups, level):
     bit = {v: 1 << i for i, v in enumerate(g.sorted_vertices())}
     masks = [sum(bit[v] for v in grp) for grp in groups]
