@@ -49,38 +49,41 @@ class ForestOracle:
     keeps the tables of the bound it accepts. `value` is the edge-cut
     width, 0 when n is 0.
 
-    The copies of a reduced pair come in units: an original pair, with
-    all of its copies, or a chain, the original pairs of one suppressed
-    path, which is one copy. A tree holds at most one copy of a pair,
-    and the copies are interchangeable: the largest charge is the same
-    whichever of them the tree holds, and whichever pair of each other
-    chain it leaves out.
+    The copies of a reduced pair come in units, each a list of original
+    pairs: an original pair that no chain took, alone, with all of its
+    copies, or a chain, the original pairs of one suppressed path, which
+    is one copy. A tree holds at most one copy of a pair, and the copies
+    are interchangeable: the largest charge is the same whichever of them
+    the tree holds, and whichever pair of each other unit it leaves out.
 
     include(a, b) decides the pairs of one optimal forest in the order
     they are asked: it includes (a, b) when an optimal forest holds it,
     the pairs included so far and none of those excluded, and excludes it
-    otherwise. A chain pair is a yes, with no question, while another
-    pair of its chain is not yet included. The last one, and an original
-    pair, ask for their reduced pair, which is undecided, taken or
-    forbidden: asking a decided pair is a no, since a forbidden copy
-    forbids all of them. Otherwise a peeled pair is a yes, and a core pair
-    asks its DP. A witness of the decisions so far is kept, one tree per
-    core over its indices (`forest` maps it back), and two yes answers
-    need no DP query: the pair is in the witness, or swapping it in for a
-    pair on its witness path keeps every charge within the value.
-    `queries` counts the others.
+    otherwise. A pair is a yes, with no question, while another pair of
+    its unit is not yet included. The last one asks for its reduced pair,
+    which is undecided, taken or forbidden: asking a decided pair is a
+    no, since a forbidden copy forbids all of them. Otherwise a peeled
+    pair is a yes, and a core pair asks its DP. A witness of the
+    decisions so far is kept, one tree per core over its indices
+    (`forest` maps it back), and two yes answers need no DP query: the
+    pair is in the witness, or swapping it in for a pair on its witness
+    path keeps every charge within the value. `queries` counts the
+    others.
     """
 
     def __init__(self, loops: list[int], pairs: list[tuple[int, int, int]]):
         self.queries = 0
-        self.pairs = pairs
         loops = loops[:]
-        cores, self.chained, self.always = _reduce(loops, pairs)
-        # a chain is keyed by its first pair: its reduced pair, and its
-        # pairs not yet included
-        self.chain_of = {p: c for cs in self.chained.values() for c in cs for p in c}
-        self.reduced = {c[0]: r for r, cs in self.chained.items() for c in cs}
-        self.open = {c[0]: set(c) for cs in self.chained.values() for c in cs}
+        cores, self.units, self.always = _reduce(loops, pairs)
+        # a unit is keyed by its first pair; per original pair, its unit
+        # and reduced pair, and per unit, its pairs not yet included
+        self.unit_of: dict[EdgePair, tuple[EdgePair, EdgePair]] = {}
+        self.open: dict[EdgePair, set[EdgePair]] = {}
+        for r, us in self.units.items():
+            for u in us:
+                self.open[u[0]] = set(u)
+                for p in u:
+                    self.unit_of[p] = u[0], r
         self.decided: dict[EdgePair, EdgePair | None] = {}  # unit taken, None if forbidden
         self.dps: list[tuple[list[int], _ChargeDP]] = []
         self.home: dict[int, tuple[int, int]] = {}  # vertex: (dps index, core index)
@@ -99,16 +102,11 @@ class ForestOracle:
         """Whether an optimal forest holds the pair (a, b), a < b, the
         pairs included so far and none of those excluded; the pair is
         then included, and excluded otherwise."""
-        chain = self.chain_of.get((a, b))
-        if chain is None:
-            unit = r = (a, b)
-        else:
-            unit = chain[0]
-            left = self.open[unit]
-            if len(left) > 1:
-                left.remove((a, b))
-                return True
-            r = self.reduced[unit]
+        unit, r = self.unit_of[a, b]
+        left = self.open[unit]
+        if len(left) > 1:
+            left.remove((a, b))
+            return True
         if r in self.decided:
             return False
         yes = r in self.always or self._ask(*r)
@@ -138,26 +136,21 @@ class ForestOracle:
         A reduced pair the witness holds, peeled or in a core's tree, is
         held by its taken unit or, while undecided, by the unit a walk in
         lex order asks it for first: the one whose greatest pair not yet
-        included is least. A chain held that way has all its pairs, and
-        every other chain leaves out its greatest pair not yet included."""
-        units = {(a, b): [(a, b)] for a, b, _ in self.pairs if (a, b) not in self.chain_of}
-        for r, cs in self.chained.items():
-            units.setdefault(r, []).extend(c[0] for c in cs)
+        included is least. The unit held has all its pairs, and every
+        other unit leaves out its greatest pair not yet included."""
         opens = self.open
         out = set()
-        for r, us in units.items():
+        for r, us in self.units.items():
             if r in self.decided:
                 held = self.decided[r]
             elif r in self.always or self._held(r):
-                held = min(us, key=lambda u: max(opens.get(u, (u,))))
+                held = min((u[0] for u in us), key=lambda u: max(opens[u]))
             else:
                 held = None
             for u in us:
-                if u == held:
-                    out.update(self.chain_of.get(u, (u,)))
-                elif u in opens:
-                    out.update(self.chain_of[u])
-                    out.discard(max(opens[u]))
+                out.update(u)
+                if u[0] != held:
+                    out.discard(max(opens[u[0]]))
         return out
 
     def _held(self, r: EdgePair) -> bool:
@@ -194,14 +187,15 @@ def _reduce(
     loops and the distinct pairs (a, b, multiplicity); the loops the
     peels leave are added to loops in place.
 
-    The cores left, as `ecw._split` gives them; for each reduced pair
-    with chains among its copies, those chains, each the list of original
-    pairs of one suppressed path; and the reduced pairs peeled.
+    The cores left, as `ecw._split` gives them; for each reduced pair,
+    the units among its copies, each a list of original pairs: an
+    original pair no chain took, alone, or the pairs of one suppressed
+    path; and the reduced pairs peeled.
     """
     adj: list[dict[int, int]] = [{} for _ in loops]
     for a, b, m in pairs:
         adj[a][b] = adj[b][a] = m
-    chained: dict[EdgePair, list[list[EdgePair]]] = {}
+    units: dict[EdgePair, list[list[EdgePair]]] = {(a, b): [[(a, b)]] for a, b, _ in pairs}
     peeled = set()
     todo = list(range(len(loops)))  # vertices that may be suppressed
 
@@ -220,20 +214,18 @@ def _reduce(
         (a, ma), (b, mb) = adj[v].items()
         if ma != 1 or mb != 1:
             continue
-        # the one copy of each of v's pairs is an original pair or a
-        # chain; the two join into one chain, in the longer list
-        ends = []
-        for p in _norm(v, a), _norm(v, b):
-            ends += chained.pop(p, None) or [[p]]
+        # the one copy of each of v's pairs is one unit; the two join into
+        # one chain, in the longer list
+        ends = units.pop(_norm(v, a)) + units.pop(_norm(v, b))
         longer, shorter = sorted(ends, key=len, reverse=True)
         longer += shorter
         adj[v].clear()
         del adj[a][v], adj[b][v]
         adj[a][b] = adj[b][a] = adj[a].get(b, 0) + 1
-        chained.setdefault(_norm(a, b), []).append(longer)
+        units.setdefault(_norm(a, b), []).append(longer)
         todo += a, b
         peel((a, b))
-    return _split(adj), chained, peeled
+    return _split(adj), units, peeled
 
 
 def _drive(gen) -> None:

@@ -224,10 +224,11 @@ class _TreePass:
     group of degree 1 needs neither rows nor a peel: its centers keep
     exactly the groups of degree >= level.
 
-    The structure questions read the same fields, none scanning every
-    edge of g: b_child() is the one B-child test, shared by stats(),
-    split_side() and the witness bridge, and split_side() searches only
-    the edges at N(Y_t) and inside Y_t.
+    The structure questions read the same fields: b_child() is the one
+    B-child test, shared by stats(), split_side() and the witness bridge,
+    and cut_edges() the one listing of the edges leaving Y_t, shared by
+    move(), split_side() and the witness bridge. Only split_side() scans
+    every edge of g, as it builds G[Y_t] to find components.
 
     move() keeps the pass current through a reattachment, changing d's
     parent map itself: it updates parents, children, Y and the edge walks
@@ -318,8 +319,7 @@ class _TreePass:
         if t in new_side:  # the walk up from q passed t
             raise InvalidDecompositionError([f"node {q} lies in the subtree of node {t}"])
         yt = ys[t]
-        adj = self.g._adj
-        crossing = [(u, v, m) for v in self.outside[t] for u, m in adj[v].items() if u in yt]
+        crossing = self.cut_edges(t)
         for u, v, m in crossing:
             self._walk(p, t, owner[v], None, u, v, -m)
         for s in old_side:
@@ -335,6 +335,12 @@ class _TreePass:
         for u, v, m in crossing:
             self._walk(q, t, owner[v], None, u, v, m)
         return old_side + new_side + [a]
+
+    def cut_edges(self, t: int) -> list[tuple[int, int, int]]:
+        """The edges leaving Y_t as (u, v, m): u in Y_t, v in N(Y_t) and
+        m copies, read off the outer ends' adjacency maps."""
+        yt, adj = self.ys[t], self.g._adj
+        return [(u, v, m) for v in self.outside[t] for u, m in adj[v].items() if u in yt]
 
     def subtree(self, t: int) -> list[int]:
         """Nodes of the subtree rooted at t, each after its parent."""
@@ -444,19 +450,13 @@ class _TreePass:
         decomposable. t is decomposable when it is a B child of adhesion
         2 whose two cut edges enter different components of G[Y_t]; the
         side kept is the component holding the inner end of the least cut
-        edge, each written (u, v) with u <= v. Both cut edges are read off
-        the at most two vertices of N(Y_t) and their neighbours in Y_t."""
+        edge, each written (u, v) with u <= v."""
         if self.adhesion[t] != 2 or not self.b_child(t):  # the root's is 0
             return None
-        g, yt = self.g, self.ys[t]
         (_, a), (_, b) = sorted(
-            (_norm(o, v), v)
-            for o in self.outside[t]
-            for v in g.neighbors(o)
-            if v in yt
-            for _ in range(g.multiplicity(o, v))
+            (_norm(u, v), u) for u, v, m in self.cut_edges(t) for _ in range(m)
         )
-        side = next(c for c in g.induced(yt).components() if a in c)
+        side = next(c for c in self.g.induced(self.ys[t]).components() if a in c)
         return None if b in side else side
 
     def decomposable(self) -> list[int]:

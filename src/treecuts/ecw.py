@@ -48,6 +48,16 @@ class SpanningWitness:
 
 
 def validate_witness(w: SpanningWitness) -> list[str]:
+    return _rooted_witness(w)[0]
+
+
+def _rooted_witness(
+    w: SpanningWitness,
+) -> tuple[list[str], dict[int, int | None], dict[int, int]]:
+    """validate_witness's problems and the parent and depth maps that
+    `_forest_paths` gives the forest over the ascending host vertices,
+    empty when a problem stops the check before the rooting. Consumers
+    of a witness read this one rooting rather than root it again."""
     out = []
     if not w.base_graph.vertices() <= w.host.vertices():
         missing = sorted(w.base_graph.vertices() - w.host.vertices())
@@ -63,14 +73,14 @@ def validate_witness(w: SpanningWitness) -> list[str]:
         elif w.host.multiplicity(u, v) == 0:
             out.append(f"forest edge ({u},{v}) is not a host edge")
     if out:
-        return out
+        return out, {}, {}
     # a forest with c trees has n - c edges; it is maximal iff c is the
     # host's component count
-    parent, _ = _forest_paths(w.host.sorted_vertices(), w.forest)
+    parent, depth = _forest_paths(w.host.sorted_vertices(), w.forest)
     trees = sum(p is None for p in parent.values())
     if len(w.forest) != len(parent) - trees or trees != len(w.host.components()):
         out.append("forest is not a maximal spanning forest of the host")
-    return out
+    return out, parent, depth
 
 
 def _forest_paths(

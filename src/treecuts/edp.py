@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from operator import itemgetter
 
-from .ecw import SpanningWitness, _forest_paths, _lca, validate_witness
+from .ecw import SpanningWitness, _lca, _rooted_witness
 from .multigraph import MultiGraph, _norm
 from .oracle import SizeLimitError
 
@@ -48,7 +48,7 @@ def edp_solve_dp(g: MultiGraph, w: SpanningWitness, pairs) -> bool:
 
 def _solve_dp(g: MultiGraph, w: SpanningWitness, pairs) -> tuple[bool, int]:
     """edp_solve_dp's answer and the most states kept for one subtree."""
-    problems = validate_witness(w)
+    problems, parent, depth = _rooted_witness(w)
     if problems:
         raise ValueError(f"invalid witness: {problems}")
     if w.base_graph != g:
@@ -63,7 +63,6 @@ def _solve_dp(g: MultiGraph, w: SpanningWitness, pairs) -> tuple[bool, int]:
         need[t] ^= 1 << i
     masks = [[x for x in range(1 << k) if x.bit_count() <= m] for m in range(k + 1)]
 
-    parent, depth = _forest_paths(w.host.sorted_vertices(), w.forest)
     # per pair, its lowest common ancestor and whether that is an end;
     # per vertex, the pairs whose other end lies outside its subtree
     low: list[int] = []

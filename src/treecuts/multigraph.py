@@ -24,12 +24,12 @@ class MultiGraph:
     an explicit live-set, so deletion does not force renumbering.
     ``edge_pairs()`` reads a sorted snapshot, built on first use and rebuilt
     after any edge mutation (a new isolated vertex leaves it valid); it is
-    never changed in place, so copies may share it.
+    never changed in place, so copies may share it. The adjacency is the
+    one record of the edges: ``num_edges()`` sums the snapshot.
     """
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         self._adj: dict[int, dict[int, int]] = {}
-        self._num_edges = 0
         self._pairs: list[tuple[int, int, int]] | None = None
         self.meta: dict = {}
         for v in vertices:
@@ -45,7 +45,6 @@ class MultiGraph:
         g._adj = {v: {} for v in vertices}
         for (u, v), m in counts.items():
             g._adj[u][v] = g._adj[v][u] = m
-        g._num_edges = sum(counts.values())
         return g
 
     # construction
@@ -64,7 +63,6 @@ class MultiGraph:
         self._adj[u][v] = self._adj[u].get(v, 0) + count
         if u != v:
             self._adj[v][u] = self._adj[v].get(u, 0) + count
-        self._num_edges += count
         self._pairs = None
 
     def remove_edge(self, u: int, v: int, count: int = 1) -> None:
@@ -78,7 +76,6 @@ class MultiGraph:
                 del self._adj[a][b]
             else:
                 self._adj[a][b] = have - count
-        self._num_edges -= count
         self._pairs = None
 
     def remove_vertex(self, v: int) -> None:
@@ -103,7 +100,7 @@ class MultiGraph:
         return len(self._adj)
 
     def num_edges(self) -> int:
-        return self._num_edges
+        return sum(m for _, _, m in self.edge_pairs())
 
     def multiplicity(self, u: int, v: int) -> int:
         adj = self._adj.get(u)
@@ -142,7 +139,7 @@ class MultiGraph:
     def copy(self) -> "MultiGraph":
         g = MultiGraph()
         g._adj = {v: nbrs.copy() for v, nbrs in self._adj.items()}
-        g._num_edges, g._pairs, g.meta = self._num_edges, self._pairs, dict(self.meta)
+        g._pairs, g.meta = self._pairs, dict(self.meta)
         return g
 
     def induced(self, keep: Iterable[int]) -> "MultiGraph":

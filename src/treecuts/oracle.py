@@ -251,7 +251,7 @@ class _Search:
             return self.parts_of[rest]
         memo = self.memo
         out = []
-        for piece in self._pieces(rest):
+        for piece in self.pieces_of.get(rest) or self._pieces(rest):
             if self.cut[piece] > self.wmax:
                 continue
             c = memo[piece] if piece in memo else self._min_empties(piece)

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from itertools import count
 
 from .decomposition import TreeCutDecomposition, _TreePass
-from .ecw import SpanningWitness, _forest_paths, validate_witness
+from .ecw import SpanningWitness, _rooted_witness, validate_witness
 from .multigraph import MultiGraph, _norm
 
 
@@ -340,11 +340,10 @@ def decomposition_to_witness(
         if p is None:
             continue
         if tp.adhesion[t] == 1 and tp.b_child(t):
-            # the unique cut edge doubles as the connector: the one vertex
-            # of N(Y_t) and its one neighbour in Y_t, which may sit
-            # arbitrarily deep below t
-            (o,) = tp.outside[t]
-            forest.add(_norm(o, next(v for v in g.neighbors(o) if v in tp.ys[t])))
+            # the unique cut edge doubles as the connector; its inner end
+            # may sit arbitrarily deep below t
+            ((u, o, _),) = tp.cut_edges(t)
+            forest.add(_norm(u, o))
         elif _norm(t, p) in least:
             forest.add(least[_norm(t, p)])
         else:
@@ -361,23 +360,21 @@ def witness_to_decomposition(w: SpanningWitness) -> TreeCutDecomposition:
     """Singleton-bag decomposition over the witness forest.
 
     Every host vertex becomes a node whose bag is itself for real
-    vertices and empty for ghosts; the forest supplies the tree shape.
-    A disconnected forest hangs off a synthetic empty-bag root. The
+    vertices and empty for ghosts; the forest, as its validation roots
+    it, supplies the tree shape. A disconnected forest hangs off a
+    synthetic empty-bag root, which an empty host keeps alone. The
     result decomposes the base graph with width at most the witness's
     edge-cut width.
     """
-    problems = validate_witness(w)
+    problems, parent, _ = _rooted_witness(w)
     if problems:
         raise ValueError(f"invalid witness: {problems}")
     base_vs = w.base_graph.vertices()
-    parent, _ = _forest_paths(w.host.sorted_vertices(), w.forest)
     roots = [v for v, p in parent.items() if p is None]
     bags = {v: ({v} & base_vs) for v in w.host.vertices()}
-    if w.host.num_vertices() == 0:
-        return TreeCutDecomposition(0, {0: None}, {0: set()})
     if len(roots) == 1:
         return TreeCutDecomposition(roots[0], parent, bags)
-    synth = max(w.host.vertices()) + 1
+    synth = max(w.host.vertices(), default=-1) + 1
     parent[synth] = None
     bags[synth] = set()
     for r in roots:

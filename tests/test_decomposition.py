@@ -20,7 +20,7 @@ from treecuts.decomposition import (
 )
 from treecuts import decomposition
 from treecuts.families import wall, windmill
-from treecuts.multigraph import MultiGraph
+from treecuts.multigraph import MultiGraph, _norm
 from treecuts.transform import make_very_nice
 
 from conftest import chain_decomposition, random_connected_multi, star_decomposition
@@ -496,9 +496,13 @@ def pass_fields(tp):
 
 
 def assert_answers_match(tp, fresh):
-    """The moved pass flags the nodes a fresh one flags, and every
-    subtree it lists has each node after its parent."""
+    """The moved pass flags the nodes a fresh one flags, lists every
+    node's cut edges as a scan of every edge of g does, and every subtree
+    it lists has each node after its parent."""
     assert tp.not_nice() == fresh.not_nice()
+    for t in tp.nodes:
+        copies = [_norm(u, v) for u, v, m in tp.cut_edges(t) for _ in range(m)]
+        assert sorted(copies) == sorted(reference_cut_edges(tp.g, tp.ys[t])), t
     for t in tp.nodes:
         sub = tp.subtree(t)
         assert sub[0] == t

@@ -504,9 +504,9 @@ def test_charge_walk_matches_local_feedback_sets(g, data):
 
 def check_answers_by_brute_force(g: MultiGraph, data) -> None:
     """The oracle's value, its answer to each pair asked, in lex order
-    with some skipped, and its witness after each answer, against every
-    maximal spanning forest of g. No pair is skipped for closing a cycle,
-    so those are asked too."""
+    with some skipped, and its witness before any answer and after each,
+    against every maximal spanning forest of g. No pair is skipped for
+    closing a cycle, so those are asked too."""
     vs, loops, pairs = _indexed(g)
     n = g.num_vertices()
     comps = len(g.components())
@@ -519,6 +519,8 @@ def check_answers_by_brute_force(g: MultiGraph, data) -> None:
     optimal = [f for v, f in optimal if v == value]
     oracle = ForestOracle(loops, pairs)
     assert oracle.value == value
+    # before any answer, every unit is still undecided
+    assert oracle.forest() in optimal
     asked = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     fixed: dict[EdgePair, bool] = {}
     for (a, b, _), ask in zip(pairs, asked):
