@@ -13,15 +13,10 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .decomposition import (
-    InvalidDecompositionError,
-    TreeCutDecomposition,
-    _TreePass,
-    width_report,
-)
+from .decomposition import InvalidDecompositionError, TreeCutDecomposition, _TreePass
 from .multigraph import MultiGraph
 from .oracle import _PROVIDER_MAX_VERTICES, _width_at_most
-from .transform import make_very_nice
+from .transform import _very_nice
 
 # returns a decomposition of width <= 2*omega, or None meaning tcw > omega
 TcwProvider = Callable[[MultiGraph, int], Optional[TreeCutDecomposition]]
@@ -103,13 +98,14 @@ def approximate_stcw(
     if d0 is None:
         return res
     try:
-        width, _ = _TreePass(d0, g).widths()
+        tp = _TreePass(d0.copy(), g)
     except InvalidDecompositionError as e:
         raise ProviderError(f"provider returned an invalid decomposition: {e}") from None
+    width, _ = tp.widths()
     if width > 2 * omega:
         raise ProviderError(f"provider returned width {width} > 2*omega = {2 * omega}")
-    res.decomposition = make_very_nice(d0, g)
-    rep = width_report(res.decomposition, g)
+    tp = _very_nice(tp)
+    res.decomposition, rep = tp.d, tp.report()
     res.b2_sizes = {t: len(s.children_B2) for t, s in rep.per_node.items()}
     if any(v > res.b2_threshold for v in res.b2_sizes.values()):
         res.reason = "b2-threshold"

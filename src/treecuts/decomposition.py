@@ -362,7 +362,7 @@ class _TreePass:
         no rows are built and every level keeps the groups at or above
         it (_kept)."""
         groups: list[int | None] = [c for c in self.children[t] if self.ys[c]]
-        if t != self.d.root and len(self.ys[t]) < len(self.ys[self.d.root]):
+        if len(self.ys[t]) < len(self.ys[self.d.root]):
             groups.append(None)
         nbag = len(self.d.bags[t])
         if nbag + len(groups) <= fits:

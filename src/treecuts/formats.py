@@ -117,16 +117,16 @@ def parse_decomposition_json(text: str) -> TreeCutDecomposition:
         if not isinstance(entry, dict) or not {"id", "parent", "bag"} <= set(entry):
             raise ValueError('each node needs "id", "parent" and "bag"')
         t = entry["id"]
-        if not _is_id(t) or t in parent:
+        if not _is_id(t) or t < 0 or t in parent:  # DOT reads n-1 as two names
             raise ValueError(f"bad or duplicate node id {t!r}")
         p = entry["parent"]
-        if p is not None and not _is_id(p):
+        if p is not None and not (_is_id(p) and p >= 0):
             raise ValueError(f"bad parent for node {t}")
         if not isinstance(entry["bag"], list) or not all(map(_is_id, entry["bag"])):
             raise ValueError(f"bad bag for node {t}")
         parent[t] = p
         bags[t] = set(entry["bag"])
-    if not _is_id(obj["root"]):
+    if not (_is_id(obj["root"]) and obj["root"] >= 0):
         raise ValueError("bad root id")
     return TreeCutDecomposition(obj["root"], parent, bags)
 
@@ -181,8 +181,8 @@ def parse_witness_json(text: str) -> SpanningWitness:
         if not isinstance(e, dict) or not {"u", "v", "ghost"} <= set(e):
             raise ValueError('each edge needs "u", "v" and "ghost"')
         u, v, ghost = e["u"], e["v"], e["ghost"]
-        if not (_is_id(u) and _is_id(v)):
-            raise ValueError(f"edge ends must be integers, not ({u!r},{v!r})")
+        if not (_is_id(u) and _is_id(v) and isinstance(ghost, bool)):
+            raise ValueError(f"edge ({u!r},{v!r}) needs integer ends and a boolean ghost")
         if u not in known or v not in known:
             raise ValueError(f"edge ({u},{v}) uses an unknown vertex")
         if not ghost:

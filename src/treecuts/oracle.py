@@ -119,8 +119,8 @@ class _Search:
     of unflagged scores. When neither a part nor the group outside y is
     flagged, no removal lowers another group's degree, so the center is
     |x| plus the scored groups and the torso is decided inline; so is a
-    leaf's, whose only group is the one outside y. Flagged torsos go to
-    _torso_ok.
+    leaf's, whose bag is all of y, never empty as n > 0. Flagged torsos,
+    with a group of cut 1 at level 2 or 3, go to _torso_ok to be peeled.
     """
 
     def __init__(self, g: MultiGraph, level: int):
@@ -217,7 +217,7 @@ class _Search:
             own = 0 if x else 1
             rest = y ^ x
             if not rest:
-                if x and nbag + (self.cut[self.all ^ y] >= self.level) <= wmax:
+                if nbag + (self.cut[self.all ^ y] >= self.level) <= wmax:
                     best, best_choice = 0, (x, ())
                     break
                 continue
@@ -246,9 +246,7 @@ class _Search:
         and is itself feasible, as (parts, summed empty-bag cost, summed
         score), parts ascending and partitions in lexicographic order. A
         list built while _min_empties(rest) runs lacks the part rest and
-        is not kept."""
-        if rest in self.parts_of:
-            return self.parts_of[rest]
+        is not kept. Callers look rest up in parts_of first."""
         memo = self.memo
         out = []
         for piece in self.pieces_of.get(rest) or self._pieces(rest):
@@ -301,13 +299,10 @@ def _center_size(cut: list[int], nbag: int, groups: list[int], level: int) -> in
     g's cut table alone, when x and the disjoint non-empty groups cover
     V(g) and groups is in consolidation order. A group's degree is its
     cut; edges between groups a and b number (cut a + cut b - cut a|b)/2,
-    and the kernel takes them as sparse rows, one per group.
+    and the kernel takes them as sparse rows, one per group. The search
+    calls this only for flagged torsos, which always need the peel.
     """
     deg = [cut[a] for a in groups]
-    if not deg or min(deg) >= level:
-        return nbag + len(groups)  # the center removes no group
-    if level == 1:
-        return _center_kernel(nbag, deg, [], level)
     rows: list[dict[int, int] | None] = [{} for _ in groups]
     for i, a in enumerate(groups):
         for j in range(i):

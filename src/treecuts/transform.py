@@ -37,7 +37,9 @@ def _moves_for(tp: _TreePass, t: int) -> Iterator[tuple[int, int]]:
     """Ordered (node, new_parent) reattachments aimed at one violating
     thin node: push it into an offending sibling subtree, pull an
     offending sibling below it, or scatter it elsewhere. Each group is
-    ranked only when the one before it is used up."""
+    ranked only when the one before it is used up. The scatter skips only
+    t's own subtree, which move() rejects; the search's visited set skips
+    t's parent and the targets of the first group."""
     p = tp.parent[t]
     assert p is not None
     nyt = tp.outside[t].keys()
@@ -59,20 +61,16 @@ def _moves_for(tp: _TreePass, t: int) -> Iterator[tuple[int, int]]:
         )
         for q in ranked:
             yield (s, q)
-    skip = {p, *sub_t, *primary}
-    for q in sorted((q for q in tp.nodes if q not in skip), key=deepest_first):
+    inside = set(sub_t)
+    for q in sorted((q for q in tp.nodes if q not in inside), key=deepest_first):
         yield (t, q)
 
 
 def _candidate_moves(tp: _TreePass, bad: list[int]) -> Iterator[tuple[int, int]]:
-    # deepest violation first, but every violating node contributes;
-    # the fixing move sometimes belongs to a shallower one
-    emitted = set()
+    # deepest violation first, but every violating node contributes; a
+    # repeated move leads to a state the search's visited set holds
     for t in sorted(bad, key=lambda x: (-tp.depth[x], x)):
-        for mv in _moves_for(tp, t):
-            if mv not in emitted:
-                emitted.add(mv)
-                yield mv
+        yield from _moves_for(tp, t)
 
 
 def _verified_dfs(
@@ -167,8 +165,9 @@ def _relaxed_best_first(
                 continue
             sub_x = set(tp.subtree(x))
             for q in tp.nodes:
-                if q in sub_x or q == old:
+                if q in sub_x:
                     continue
+                # q == old gives cur's own signature, pushed with cur
                 sig = _signature_after(cur, x, q)
                 if sig in seen:
                     continue
@@ -283,12 +282,17 @@ def _split(tp: _TreePass) -> _TreePass:
 
 def make_very_nice(d: TreeCutDecomposition, g: MultiGraph) -> TreeCutDecomposition:
     """Nice and free of decomposable nodes, widths never increased."""
-    tp = _nice_pass(_TreePass(d.copy(), g))
-    cap = len(tp.d.parent) + g.num_vertices() + 16
+    return _very_nice(_TreePass(d.copy(), g)).d
+
+
+def _very_nice(tp: _TreePass) -> _TreePass:
+    """make_very_nice on tp, which it may change; the pass of the result."""
+    tp = _nice_pass(tp)
+    cap = len(tp.d.parent) + tp.g.num_vertices() + 16
     for _ in range(cap):
         split = _split(tp)
         if split is tp:  # nothing split, and tp is nice
-            return tp.d
+            return tp
         tp = _nice_pass(split)
     raise TransformError("very nice transformation did not converge")
 

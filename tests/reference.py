@@ -60,7 +60,10 @@ class ReferenceSearch(_Search):
                     best, best_choice = 0, (x, ())
                     break
                 continue
-            for parts, cost, _ in self._partitions(rest):
+            listed = self.parts_of.get(rest)
+            if listed is None:
+                listed = self._partitions(rest)
+            for parts, cost, _ in listed:
                 total = own + cost
                 if total < best and self._torso_ok(y, x, parts):
                     best, best_choice = total, (x, parts)

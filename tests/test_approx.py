@@ -16,6 +16,7 @@ from treecuts.approx import (
 from treecuts.cli import main
 from treecuts.decomposition import (
     TreeCutDecomposition,
+    _TreePass,
     is_very_nice,
     singleton_decomposition,
     validate,
@@ -207,6 +208,8 @@ def test_refuses_to_certify_past_the_slim_bound(monkeypatch):
     # a valid provider answer whose normalization came back wider than
     # the bound 6(omega+1)^3 = 48 raises rather than certifies
     g = MultiGraph(range(50), [(i, i + 1) for i in range(49)])
-    monkeypatch.setattr(approx, "make_very_nice", lambda d, h: singleton_decomposition(h))
+    monkeypatch.setattr(
+        approx, "_very_nice", lambda tp: _TreePass(singleton_decomposition(tp.g), tp.g)
+    )
     with pytest.raises(RuntimeError, match="^slim width 50 exceeds the bound 48; not certifying$"):
         approximate_stcw(g, 1, provider=lambda h, omega: chain_decomposition(h))

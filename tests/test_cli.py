@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 
 from treecuts import cli
@@ -59,13 +60,17 @@ def test_widths_verify_witness_pipeline(tmp_path, capsys):
     json.loads(out)
 
 
-def test_ecw_exact_and_budget_exit(tmp_path, capsys):
+def test_ecw_exact_and_budget_exit(tmp_path, capsys, monkeypatch):
     gpath = str(tmp_path / "g.txt")
     run(capsys, "gen", "--family", "ladder", "--r", "3", "-o", gpath)
     code, out, _ = run(capsys, "ecw-exact", gpath)
     assert code == 0
     obj = json.loads(out)
     assert obj["ecw"] >= 1
+    # "-" reads the graph from stdin
+    with open(gpath) as fh:
+        monkeypatch.setattr("sys.stdin", io.StringIO(fh.read()))
+    assert run(capsys, "ecw-exact", "-") == (0, out, "")
     code, _, err = run(capsys, "ecw-exact", gpath, "--budget", "1")
     assert code == 3
 
@@ -214,6 +219,14 @@ def test_export_dot_all_artifacts(tmp_path, capsys):
         fh.write(wout)
     code, out, _ = run(capsys, "export-dot", wpath)
     assert code == 0 and "penwidth=2" in out
+
+    # DOT would read n-1 as two names
+    bad = str(tmp_path / "negative.json")
+    with open(bad, "w") as fh:
+        json.dump({"root": 0, "nodes": [{"id": 0, "parent": None, "bag": [0]},
+                                        {"id": -1, "parent": 0, "bag": [1]}]}, fh)
+    code, out, err = run(capsys, "export-dot", bad)
+    assert code == 2 and out == "" and "node id -1" in err
 
 
 CLI_GOLDEN = "455329903d6e50f6160d33beb72178f0327543b5c3a332bdc9c85c2b615831b6"

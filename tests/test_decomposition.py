@@ -526,6 +526,9 @@ def test_move_matches_fresh_pass(case, data):
         with pytest.raises(InvalidDecompositionError):
             tp.move(t, data.draw(st.sampled_from(inside)))
         assert pass_fields(tp) == before
+        with pytest.raises(InvalidDecompositionError):
+            tp.move(tp.d.root, t)  # the root has no parent to leave
+        assert pass_fields(tp) == before
         targets = [q for q in tp.nodes if q not in inside]
         if not targets:
             continue

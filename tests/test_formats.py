@@ -109,6 +109,14 @@ def test_decomposition_json_rejects():
             '{"root": 0, "nodes": [{"id": 0, "parent": null, "bag": []},'
             ' {"id": 0, "parent": 0, "bag": []}]}'
         )
+    # negative node, parent and root ids
+    for text in (
+        '{"root": -1, "nodes": [{"id": -1, "parent": null, "bag": [0]}]}',
+        '{"root": 0, "nodes": [{"id": 0, "parent": -1, "bag": [0]}]}',
+        '{"root": -1, "nodes": [{"id": 0, "parent": null, "bag": [0]}]}',
+    ):
+        with pytest.raises(ValueError):
+            parse_decomposition_json(text)
 
 
 def test_witness_json_round_trip():
@@ -278,6 +286,9 @@ def test_parsers_reject_only_with_value_error(value):
     {"edges": 5},
     {"tree_edges": [["a", 1]]},
     {"tree_edges": [[0, False]]},
+    {"edges": [{"u": 0, "v": 1, "ghost": "false"}]},
+    {"edges": [{"u": 0, "v": 1, "ghost": 0}]},
+    {"edges": [{"u": 0, "v": 1, "ghost": None}]},
 ])
 def test_witness_json_rejects_mistyped_fields(bad):
     obj = {

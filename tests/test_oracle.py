@@ -515,15 +515,7 @@ def test_finished_search_is_freed_without_the_cycle_collector(monkeypatch):
         gc.enable()
 
 
-def test_center_size_shortcut_skips_the_kernel(monkeypatch):
-    levels = []  # the level of every kernel call
-    real = oracle._center_kernel
-
-    def spy(nbag, deg, mult, level):
-        levels.append(level)
-        return real(nbag, deg, mult, level)
-
-    monkeypatch.setattr(oracle, "_center_kernel", spy)
+def test_center_size_with_nothing_or_one_group_to_remove():
     # no groups: the center is the bag
     for level in (1, 2, 3):
         assert kernel_and_reference(cycle(4), set(range(4)), [], level) == (4, 4)
@@ -533,15 +525,13 @@ def test_center_size_shortcut_skips_the_kernel(monkeypatch):
         assert kernel_and_reference(k4, {0}, [{1}, {2}, {3}], level) == (4, 4)
         assert kernel_and_reference(k4, {0}, [{1, 2}, {3}], level) == (3, 3)
     assert kernel_and_reference(cycle(4), {0}, [{1}, {2}, {3}], 2) == (4, 4)
-    assert levels == []
-    # one group at degree level - 1: the kernel runs
+    # one group at degree level - 1: the kernel removes it
     g = k4.copy()
     g.add_edge(4, 1)
     g.add_edge(4, 2)
     assert kernel_and_reference(g, {0}, [{1}, {2}, {3}, {4}], 3) == (4, 4)
     assert kernel_and_reference(path(3), {0}, [{1}, {2}], 2) == (1, 1)
     assert kernel_and_reference(MultiGraph(range(3), [(0, 1)]), {0}, [{1}, {2}], 1) == (2, 2)
-    assert levels == [3, 2, 1]
 
 
 def test_center_size_kernel_folds_parallel_pair_into_loop():
