@@ -4,8 +4,10 @@ The pipeline leans on a provider for plain tree-cut width: given (g,
 omega) it must return a decomposition of width at most 2*omega or None
 to assert tcw(g) > omega. Since tcw <= stcw, a provider "no" rules out
 slim width omega as well. A returned decomposition is normalized to very
-nice; bounded B2 child counts then certify slim width <= 6(omega+1)^3,
-and an oversized B2 set refutes slim width omega.
+nice, keeping its width and slim width, or its width alone when no nice
+tree keeps both: the B2 bound reads the width only. Bounded B2 child
+counts then certify slim width <= 6(omega+1)^3, and an oversized B2 set
+refutes slim width omega.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from typing import Callable, Optional
 from .decomposition import InvalidDecompositionError, TreeCutDecomposition, _TreePass
 from .multigraph import MultiGraph
 from .oracle import _PROVIDER_MAX_VERTICES, _width_at_most
-from .transform import _very_nice
+from .transform import TransformError, _very_nice
 
 # returns a decomposition of width <= 2*omega, or None meaning tcw > omega
 TcwProvider = Callable[[MultiGraph, int], Optional[TreeCutDecomposition]]
@@ -87,7 +89,9 @@ def approximate_stcw(
     report that stcw(g) > omega. The full very-nice decomposition and
     every audited B2 count are included either way. A provider
     decomposition that is invalid or wider than 2*omega raises
-    ProviderError."""
+    ProviderError. When no nice tree keeps the answer's width and slim
+    width, a fresh pass of it keeps its width alone, once the pair
+    search has run to its caps."""
     if omega < 1:
         raise ValueError("omega must be positive")
     res = ApproxResult(
@@ -104,7 +108,10 @@ def approximate_stcw(
     width, _ = tp.widths()
     if width > 2 * omega:
         raise ProviderError(f"provider returned width {width} > 2*omega = {2 * omega}")
-    tp = _very_nice(tp)
+    try:
+        tp = _very_nice(tp, slim=True)
+    except TransformError:
+        tp = _very_nice(_TreePass(d0.copy(), g), slim=False)
     res.decomposition, rep = tp.d, tp.report()
     res.b2_sizes = {t: len(s.children_B2) for t, s in rep.per_node.items()}
     if any(v > res.b2_threshold for v in res.b2_sizes.values()):

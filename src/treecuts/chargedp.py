@@ -170,7 +170,7 @@ class ForestOracle:
         path = _path_vertices(*_forest_paths(range(dp.k), tree), y, x)
         for v, u in zip(path, path[1:]):
             if not dp.req[u] >> v & 1:
-                swapped = tree - {(min(u, v), max(u, v))}
+                swapped = tree - {_norm(u, v)}
                 swapped.add((x, y))
                 if _top_charge(dp.loops, dp.pairs, swapped, self.value - 1) < self.value:
                     self.trees[at] = swapped

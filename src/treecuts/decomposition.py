@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
+from .ecw import _climb
 from .multigraph import MultiGraph, _norm
 
 
@@ -48,14 +49,7 @@ class TreeCutDecomposition:
         return ch
 
     def subtree_nodes(self, t: int) -> list[int]:
-        ch = self.children_map()
-        out = []
-        stack = [t]
-        while stack:
-            s = stack.pop()
-            out.append(s)
-            stack.extend(ch[s])
-        return sorted(out)
+        return sorted(_subtree(self.children_map(), t))
 
     def subtree_vertices(self, t: int) -> set[int]:
         """Y_t: union of bags over the subtree rooted at t."""
@@ -71,6 +65,14 @@ class TreeCutDecomposition:
 
     def fresh_node_id(self) -> int:
         return max(self.parent, default=-1) + 1
+
+
+def _subtree(children: dict[int, list[int]], t: int) -> list[int]:
+    """Nodes of the subtree rooted at t, each after its parent."""
+    out = [t]
+    for s in out:
+        out.extend(children[s])
+    return out
 
 
 def singleton_decomposition(g: MultiGraph) -> TreeCutDecomposition:
@@ -211,18 +213,19 @@ class _TreePass:
 
     The traversal gives children (ascending), depths and Y_t for every
     node. The sweep walks each edge up from the nodes of its two ends to
-    their lowest common ancestor. The edge crosses the cut of every node
-    passed below that ancestor, which gives adhesions and the outside
-    neighbourhoods N(Y_t), kept as edge-copy counts per neighbour. At a
-    passed node other than an end's own node, the edge joins two groups
-    of that node's torso: the child it came up from and the group of
-    everything outside Y_t. At the ancestor it joins the two children it
-    came up from, unless an end sits in the ancestor's bag. Those counts
-    are the edges between the consolidated groups of every torso, so
-    center sizes come from _center_size over sparse rows with no torso
-    built. A node with one group, no two groups linked, or no linked
-    group of degree 1 needs neither rows nor a peel: its centers keep
-    exactly the groups of degree >= level.
+    their lowest common ancestor, in the one climb that keeps books at
+    every step rather than call ecw._climb. The edge crosses the cut of
+    every node passed below that ancestor, which gives adhesions and the
+    outside neighbourhoods N(Y_t), kept as edge-copy counts per
+    neighbour. At a passed node other than an end's own node, the edge
+    joins two groups of that node's torso: the child it came up from and
+    the group of everything outside Y_t. At the ancestor it joins the two
+    children it came up from, unless an end sits in the ancestor's bag.
+    Those counts are the edges between the consolidated groups of every
+    torso, so center sizes come from _center_size over sparse rows with
+    no torso built. A node with one group, no two groups linked, or no
+    linked group of degree 1 needs neither rows nor a peel: its centers
+    keep exactly the groups of degree >= level.
 
     The structure questions read the same fields: b_child() is the one
     B-child test, shared by stats(), split_side() and the witness bridge,
@@ -294,8 +297,9 @@ class _TreePass:
         their lowest common ancestor included. Moving t back to its old
         parent undoes the move exactly.
 
-        Bags never change, so only a q inside t's own subtree (t itself
-        included) would break validity; that raises
+        The path is ecw._climb's walks from the old parent and from q.
+        Bags never change, so only a q in t's own subtree (t included)
+        breaks validity: the walk from q then passes t, which raises
         InvalidDecompositionError and leaves the pass untouched. Edges
         with both ends in Y_t or none keep their walks, and those with
         one end in Y_t, read off their outer ends in N(Y_t), are
@@ -306,16 +310,10 @@ class _TreePass:
             raise InvalidDecompositionError([f"node {q} lies in the subtree of node {t}"])
         if q == p:
             return []
-        depth, parent, owner, ys = self.depth, self.parent, self.owner, self.ys
-        old_side, new_side = [], []
-        a, b = p, q
-        while a != b:
-            if depth[a] >= depth[b]:
-                old_side.append(a)
-                a = parent[a]
-            else:
-                new_side.append(b)
-                b = parent[b]
+        depth, owner, ys = self.depth, self.owner, self.ys
+        old_side, new_side = _climb(self.parent, depth, p, q)
+        a = old_side.pop()
+        new_side.pop()
         if t in new_side:  # the walk up from q passed t
             raise InvalidDecompositionError([f"node {q} lies in the subtree of node {t}"])
         yt = ys[t]
@@ -328,7 +326,7 @@ class _TreePass:
             ys[s] |= yt
         self.children[p].remove(t)
         bisect.insort(self.children[q], t)
-        parent[t] = q
+        self.parent[t] = q
         shift = depth[q] + 1 - depth[t]
         for s in self.subtree(t):
             depth[s] += shift
@@ -343,11 +341,7 @@ class _TreePass:
         return [(u, v, m) for v in self.outside[t] for u, m in adj[v].items() if u in yt]
 
     def subtree(self, t: int) -> list[int]:
-        """Nodes of the subtree rooted at t, each after its parent."""
-        out = [t]
-        for s in out:
-            out.extend(self.children[s])
-        return out
+        return _subtree(self.children, t)
 
     def centers(self, t: int, fits: int = -1) -> tuple[int, int, int] | None:
         """Sizes of center(torso(t), bag, level) at levels 3, 2 and 1, or

@@ -117,18 +117,10 @@ def _forest_paths(
     return parent, depth
 
 
-def _lca(parent, depth, u: int, v: int) -> int:
-    """Lowest common ancestor of u and v, two vertices of one forest tree."""
-    while u != v:
-        if depth[u] >= depth[v]:
-            u = parent[u]
-        else:
-            v = parent[v]
-    return u
-
-
-def _path_vertices(parent, depth, u: int, v: int) -> list[int]:
-    """Vertices on the forest path from u to v, in order, endpoints included."""
+def _climb(parent, depth, u: int, v: int) -> tuple[list[int], list[int]]:
+    """The walks up one forest tree from u and from v, each from its
+    start to their lowest common ancestor, both ends included: the
+    deeper end steps first, u on a tie."""
     head, tail = [u], [v]
     while u != v:
         if depth[u] >= depth[v]:
@@ -137,6 +129,12 @@ def _path_vertices(parent, depth, u: int, v: int) -> list[int]:
         else:
             v = parent[v]
             tail.append(v)
+    return head, tail
+
+
+def _path_vertices(parent, depth, u: int, v: int) -> list[int]:
+    """Vertices on the forest path from u to v, in order, endpoints included."""
+    head, tail = _climb(parent, depth, u, v)
     return head + tail[-2::-1]
 
 
@@ -300,8 +298,6 @@ def exact_ecw(g: MultiGraph, budget: int = 10**6) -> tuple[int, SpanningWitness]
     then asks the DP about each pair in lex order. The budget caps the
     spanning forest count of g.
     """
-    if g.num_vertices() == 0:
-        return 0, SpanningWitness(g.copy(), g.copy(), frozenset())
     vs, loops, pairs = _indexed(g)
     count = _tree_count(len(vs), pairs)
     if count > budget:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from operator import itemgetter
 
-from .ecw import SpanningWitness, _lca, _rooted_witness
+from .ecw import SpanningWitness, _climb, _rooted_witness
 from .multigraph import MultiGraph, _norm
 from .oracle import SizeLimitError
 
@@ -71,7 +71,7 @@ def _solve_dp(g: MultiGraph, w: SpanningWitness, pairs) -> tuple[bool, int]:
     for u, v, m in g.edge_pairs():
         if u == v:
             continue
-        a = _lca(parent, depth, u, v)
+        a = _climb(parent, depth, u, v)[0][-1]
         p = len(low)
         low.append(a)
         at_end.append(a == u or a == v)

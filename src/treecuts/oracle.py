@@ -14,6 +14,7 @@ import sys
 from itertools import combinations
 
 from .decomposition import TreeCutDecomposition, _center_size as _center_kernel
+from .ecw import _indexed
 from .multigraph import MultiGraph
 
 VARIANT_LEVEL = {"tcw": 3, "stcw": 2, "tcw0": 1}
@@ -274,16 +275,13 @@ def _cut_table(g: MultiGraph) -> list[int]:
     vertex i and rest r has cut = cut[r] + deg(i) - 2 copies(i, r); the
     last two terms are built for every r below bit i by doubling, one step
     per set and no neighbour loop."""
-    index = {v: i for i, v in enumerate(g.sorted_vertices())}
-    deg = [0] * len(index)
-    copies = [[0] * len(index) for _ in index]
-    for u, v, m in g.edge_pairs():
-        if u != v:
-            a, b = index[u], index[v]
-            deg[a] += m
-            deg[b] += m
-            copies[a][b] += m
-            copies[b][a] += m
+    vs, _, pairs = _indexed(g)
+    deg = [0] * len(vs)
+    copies = [[0] * len(vs) for _ in vs]
+    for a, b, m in pairs:
+        deg[a] += m
+        deg[b] += m
+        copies[a][b] = copies[b][a] = m
     cut = [0]
     for i, row in enumerate(copies):
         gain = [deg[i]]  # gain[r] = cut[r | 1 << i] - cut[r] for r below bit i
@@ -322,12 +320,10 @@ def exact_treewidth(g: MultiGraph, max_vertices: int = 14) -> int:
     _check_size(n, max_vertices)
     if n <= 1:
         return 0
-    idx = {v: i for i, v in enumerate(g.sorted_vertices())}
     nbr = [0] * n  # neighbour masks, loops dropped
-    for u, v, _ in g.edge_pairs():
-        if u != v:
-            nbr[idx[u]] |= 1 << idx[v]
-            nbr[idx[v]] |= 1 << idx[u]
+    for a, b, _ in _indexed(g)[2]:
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
 
     def backdeg(x: int, through: int) -> int:
         """Vertices outside through reached from x along paths inside it."""

@@ -9,6 +9,7 @@ carrying the corresponding width bounds.
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Iterator
 from itertools import count
 
@@ -185,17 +186,20 @@ def _relaxed_best_first(
     return None
 
 
-def _nice_pass(tp: _TreePass) -> _TreePass:
+def _nice_pass(tp: _TreePass, *, slim: bool) -> _TreePass:
     """make_nice's search over the decomposition tp holds, returning the
     pass of its output; tp's own decomposition may be changed. The
     verified DFS runs from the input's root, moving tp, then from each
     other node in ascending order; the best-first search runs only once
-    every root has failed."""
+    every root has failed. Without slim only the width is kept: the slim
+    bound is infinite, and a TransformError names the width alone."""
     if not tp.not_nice():
         return tp
     # the input, kept apart from tp's parents; no search changes a bag
     d, g = TreeCutDecomposition(tp.d.root, dict(tp.d.parent), tp.d.bags), tp.g
     w0, s0 = tp.widths()
+    if not slim:
+        s0 = math.inf
     n = len(d.parent)
     for r in sorted(d.parent, key=lambda t: (t != d.root, t)):
         if r != d.root:
@@ -205,8 +209,9 @@ def _nice_pass(tp: _TreePass) -> _TreePass:
     out = _relaxed_best_first(d, g, w0, s0, 6000 + 60 * n * n)
     if out is not None:
         return _TreePass(out, g)
+    kept = f"width {w0} / slim width {s0}" if slim else f"width {w0}"
     raise TransformError(
-        f"no reattachment sequence keeps width {w0} / slim width {s0} "
+        f"no reattachment sequence keeps {kept} "
         f"(verified DFS from each of {n} roots, then best-first search)"
     )
 
@@ -222,7 +227,7 @@ def make_nice(d: TreeCutDecomposition, g: MultiGraph) -> TreeCutDecomposition:
     space. All are capped, and exhausting the caps raises
     TransformError rather than returning a weaker decomposition.
     """
-    return _nice_pass(_TreePass(d.copy(), g)).d
+    return _nice_pass(_TreePass(d.copy(), g), slim=True).d
 
 
 def split_decomposables(
@@ -282,18 +287,19 @@ def _split(tp: _TreePass) -> _TreePass:
 
 def make_very_nice(d: TreeCutDecomposition, g: MultiGraph) -> TreeCutDecomposition:
     """Nice and free of decomposable nodes, widths never increased."""
-    return _very_nice(_TreePass(d.copy(), g)).d
+    return _very_nice(_TreePass(d.copy(), g), slim=True).d
 
 
-def _very_nice(tp: _TreePass) -> _TreePass:
-    """make_very_nice on tp, which it may change; the pass of the result."""
-    tp = _nice_pass(tp)
+def _very_nice(tp: _TreePass, *, slim: bool) -> _TreePass:
+    """make_very_nice on tp, which it may change; the pass of the result.
+    Splits keep both widths, so slim is passed on to each _nice_pass."""
+    tp = _nice_pass(tp, slim=slim)
     cap = len(tp.d.parent) + tp.g.num_vertices() + 16
     for _ in range(cap):
         split = _split(tp)
         if split is tp:  # nothing split, and tp is nice
             return tp
-        tp = _nice_pass(split)
+        tp = _nice_pass(split, slim=slim)
     raise TransformError("very nice transformation did not converge")
 
 
@@ -310,7 +316,7 @@ def decomposition_to_witness(
     parent bag reuses its unique cut edge as the connector. For a slim
     width k input the result has edge-cut width at most 3(k+1)^2.
     """
-    tp = _nice_pass(_TreePass(d.copy(), g))
+    tp = _nice_pass(_TreePass(d.copy(), g), slim=True)
     nice = tp.d
     host = g.copy()
     forest: set[tuple[int, int]] = set()

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import stat
@@ -5,6 +6,7 @@ import subprocess
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 from treecuts.approx import (
     ApproxResult,
@@ -23,12 +25,14 @@ from treecuts.decomposition import (
     width_report,
 )
 from treecuts.families import wall, windmill
-from treecuts.formats import write_edge_list
+from treecuts.formats import decomposition_to_json, write_edge_list
 from treecuts import approx, oracle
 from treecuts.multigraph import MultiGraph
 from treecuts.oracle import SizeLimitError, exact_width
 
 from conftest import cached_width, chain_decomposition, random_connected_simple
+from test_decomposition import decomposed
+from test_transform import FOUR_BAGS
 
 
 def tree6():
@@ -209,7 +213,47 @@ def test_refuses_to_certify_past_the_slim_bound(monkeypatch):
     # the bound 6(omega+1)^3 = 48 raises rather than certifies
     g = MultiGraph(range(50), [(i, i + 1) for i in range(49)])
     monkeypatch.setattr(
-        approx, "_very_nice", lambda tp: _TreePass(singleton_decomposition(tp.g), tp.g)
+        approx, "_very_nice",
+        lambda tp, *, slim: _TreePass(singleton_decomposition(tp.g), tp.g),
     )
     with pytest.raises(RuntimeError, match="^slim width 50 exceeds the bound 48; not certifying$"):
         approximate_stcw(g, 1, provider=lambda h, omega: chain_decomposition(h))
+
+
+def four_bags():
+    """Input B of test_transform: a valid width-2 decomposition, slim
+    width 3, on whose bags every nice tree has slim width 4."""
+    g = MultiGraph(range(6), [(0, 1), (1, 4), (1, 5), (2, 3), (3, 5)])
+    return g, TreeCutDecomposition(1, {1: None, 3: 1, 0: 3, 2: 3}, dict(FOUR_BAGS))
+
+
+def test_certifies_when_no_nice_tree_keeps_the_slim_width(tmp_path, capsys):
+    # no nice tree keeps B's slim width 3, so the pipeline keeps its
+    # width 2 alone and certifies slim width 4 <= 48
+    g, d = four_bags()
+    r = approximate_stcw(g, 1, lambda h, omega: d)
+    assert r.accepted and r.reason == "certified" and r.slim_width == 4
+    assert is_very_nice(r.decomposition, g) == []
+    assert width_report(r.decomposition, g).width == 2
+    body = "cat > /dev/null\necho DECOMP\necho '" + decomposition_to_json(d) + "'\n"
+    prog = write_script(tmp_path, "four_bags.sh", body)
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(write_edge_list(g))
+    assert main(["approx", str(gpath), "--omega", "1", "--provider", f"exec:{prog}"]) == 0
+    assert capsys.readouterr().out == decomposition_to_json(r.decomposition)
+
+
+@settings(max_examples=200, deadline=None)
+@given(decomposed())
+def test_any_valid_provider_answer_is_audited(case):
+    # the drawn decomposition is a legal answer at omega = ceil(width/2):
+    # normalization never fails, no refutation falls at or above the
+    # true slim width, and nothing is certified past 6(omega+1)^3
+    g, d = case
+    omega = max(1, math.ceil(width_report(d, g).width / 2))
+    r = approximate_stcw(g, omega, lambda h, om: d)
+    if cached_width(g, "stcw")[0] <= omega:
+        assert r.accepted
+    if r.accepted:
+        assert r.slim_width <= 6 * (omega + 1) ** 3
+        assert width_report(r.decomposition, g).slim_width == r.slim_width

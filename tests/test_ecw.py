@@ -38,6 +38,16 @@ def c4():
     return MultiGraph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
+def test_climb_walks_both_ends_to_their_common_ancestor():
+    # the tree 0-1, 0-2, 1-3, 2-4, 3-5, rooted at 0; each walk ends there
+    parent, depth = ecw._forest_paths(range(6), [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5)])
+    assert ecw._climb(parent, depth, 5, 4) == ([5, 3, 1, 0], [4, 2, 0])
+    assert ecw._climb(parent, depth, 4, 3) == ([4, 2, 0], [3, 1, 0])
+    assert ecw._climb(parent, depth, 1, 5) == ([1], [5, 3, 1])
+    assert ecw._climb(parent, depth, 2, 2) == ([2], [2])
+    assert ecw._path_vertices(parent, depth, 5, 4) == [5, 3, 1, 0, 2, 4]
+
+
 def k4():
     return MultiGraph(range(4), [(a, b) for a in range(4) for b in range(a + 1, 4)])
 

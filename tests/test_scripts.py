@@ -37,3 +37,16 @@ def test_normalize_stage_table_counts_on_wall_4():
     assert calls == {"make_very_nice": 22, "width_report": 0, "to_witness": 0,
                      "json": 0, "to_decomposition": 0}
     assert set(times) == set(calls)
+
+
+def test_normalize_target_count_on_seed_3():
+    # the script tells stages apart by wrapping transform._verified_dfs,
+    # transform._relaxed_best_first and _TreePass.within; pinned counts
+    # show the wrapped names still sit on the paths they count
+    path = SCRIPT_DIR / "normalize_target_count.py"
+    spec = importlib.util.spec_from_file_location("script_normalize_target_count", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    counts = module.count_stages(3, 2000)
+    assert counts["pair"] == {"nice": 1348, "dfs": 611, "dfs-rejected": 38, "re-root": 3}
+    assert counts["width"] == {"nice": 1348, "dfs": 652}

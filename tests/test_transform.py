@@ -220,6 +220,20 @@ def test_relaxed_best_first_stops_at_its_budget(monkeypatch):
     assert len(built) == 5  # the four seeds and the popped state
 
 
+def test_width_target_error_names_the_width_alone(monkeypatch):
+    # input B with both searches stubbed to run out: keeping the width
+    # alone, the error names the width and not the slim width
+    g = MultiGraph(range(6), [(0, 1), (1, 4), (1, 5), (2, 3), (3, 5)])
+    d = TreeCutDecomposition(1, {1: None, 3: 1, 0: 3, 2: 3}, dict(FOUR_BAGS))
+    monkeypatch.setattr(transform, "_verified_dfs", lambda *args: None)
+    monkeypatch.setattr(transform, "_relaxed_best_first", lambda *args: None)
+    with pytest.raises(TransformError, match=(
+        r"^no reattachment sequence keeps width 2 "
+        r"\(verified DFS from each of 4 roots, then best-first search\)$"
+    )):
+        transform._nice_pass(_TreePass(d, g), slim=False)
+
+
 def test_make_nice_keeps_already_nice():
     g, d = dstar_w4()
     assert is_nice(d, g) == []
