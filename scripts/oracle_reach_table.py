@@ -3,14 +3,16 @@
 
 For seeded random multigraphs of 6 to 13 vertices (a random spanning
 tree plus n//2 random extra pairs, parallels allowed) and each variant,
-print the exact width, the median time of --repeats calls of
-exact_width, the tracemalloc peak of one more call made on its own, and
-a short digest of the returned decomposition's JSON. Two builds that
-return the same first optima print the same digests. The oracle shares
-its bag and piece lists between the searches of graphs with at most 9
-vertices: there the timed calls have built them before the traced one,
-and the peak leaves them out. A larger graph's search builds its own
-lists, so from n = 10 on the peak includes them.
+print the floor the search starts at (no width bound below it is
+searched, see oracle._Search.floor), the exact width, the median time
+of --repeats calls of exact_width, the tracemalloc peak of one more
+call made on its own, and a short digest of the returned
+decomposition's JSON. Two builds that return the same first optima
+print the same digests. The oracle shares its bag and piece lists
+between the searches of graphs with at most 9 vertices: there the
+timed calls have built them before the traced one, and the peak leaves
+them out. A larger graph's search builds its own lists, so from n = 10
+on the peak includes them.
 
 Run from the root of a checkout:
 
@@ -26,7 +28,7 @@ import tracemalloc
 
 from treecuts.formats import decomposition_to_json
 from treecuts.multigraph import MultiGraph
-from treecuts.oracle import exact_width
+from treecuts.oracle import VARIANT_LEVEL, _Search, exact_width
 
 VARIANTS = ("tcw", "stcw", "tcw0")
 
@@ -53,8 +55,8 @@ def main() -> int:
                     help="offset of the graphs' seeds; graph n uses seed + n")
     args = ap.parse_args()
 
-    print("| graph | n | copies | variant | value | median s | peak MB | digest |")
-    print("|---|---|---|---|---|---|---|---|")
+    print("| graph | n | copies | variant | floor | value | median s | peak MB | digest |")
+    print("|---|---|---|---|---|---|---|---|---|")
     for n in args.sizes:
         g = random_multigraph(args.seed + n, n)
         for var in VARIANTS:
@@ -67,9 +69,10 @@ def main() -> int:
             exact_width(g, var, max_vertices=n)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
+            floor = _Search(g, VARIANT_LEVEL[var]).floor()
             digest = hashlib.sha256(decomposition_to_json(d).encode()).hexdigest()[:12]
             print(f"| random(n={n}, seed={args.seed + n}) | {n} | {g.num_edges()} | {var} "
-                  f"| {value} | {statistics.median(times):.3f} | {peak / 2**20:.1f} "
+                  f"| {floor} | {value} | {statistics.median(times):.3f} | {peak / 2**20:.1f} "
                   f"| {digest} |", flush=True)
     return 0
 

@@ -30,7 +30,9 @@ class ProviderError(RuntimeError):
 
 def oracle_provider(g: MultiGraph, omega: int) -> TreeCutDecomposition | None:
     """Exact tree-cut width as a (trivially valid) 2-approximation; a None
-    proves tcw(g) > omega. No width bound above omega is searched."""
+    proves tcw(g) > omega. No width bound above omega is searched, and
+    none below the search's edge-connectivity floor, so a None may come
+    from the floor alone, with no bound searched."""
     found = _width_at_most(g, "tcw", _PROVIDER_MAX_VERTICES, omega)
     return None if found is None else found[1]
 

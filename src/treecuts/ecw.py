@@ -265,18 +265,19 @@ def spanning_tree_count(g: MultiGraph) -> int:
     """Number of spanning forests maximal in g, counting parallel copies
     as distinct (matrix-tree theorem per component; loops ignored)."""
     vs, _, pairs = _indexed(g)
-    return _tree_count(len(vs), pairs)
+    return _tree_count(*_cores(len(vs), pairs))
 
 
-def _tree_count(n: int, pairs: list[tuple[int, int, int]]) -> int:
-    """`spanning_tree_count` of the multigraph on 0..n-1 with the distinct
-    non-loop pairs (a, b, multiplicity).
+def _tree_count(
+    peeled: list[tuple[int, int, int]], cores: list[tuple[list[int], list[dict[int, int]]]]
+) -> int:
+    """`spanning_tree_count` of a graph that `_cores` split into peeled
+    pendant vertices and cores.
 
-    Pendant vertices are peeled first: every spanning tree uses one of
-    the m copies to the neighbour, so each peel multiplies the count by m.
-    The determinant runs only on the cores left.
+    Every spanning tree uses one of the m copies from a peeled vertex to
+    its neighbour, so each peel multiplies the count by m. The
+    determinant runs only on the cores.
     """
-    peeled, cores = _cores(n, pairs)
     total = math.prod(m for _, _, m in peeled)
     for core, mul in cores:
         k = len(core)
@@ -289,6 +290,24 @@ def _tree_count(n: int, pairs: list[tuple[int, int, int]]) -> int:
     return total
 
 
+def _tree_bound(
+    peeled: list[tuple[int, int, int]], cores: list[tuple[list[int], list[dict[int, int]]]]
+) -> int:
+    """An upper bound on `_tree_count(peeled, cores)` with no
+    determinant.
+
+    Rooting a spanning tree of a core at a vertex r maps it injectively
+    to one incident copy per other vertex, the copy to its parent; so a
+    core has at most the product of its degrees but r's, and r is taken
+    at the largest degree.
+    """
+    total = math.prod(m for _, _, m in peeled)
+    for _, mul in cores:
+        degrees = [sum(ms.values()) for ms in mul]
+        total *= math.prod(degrees) // max(degrees)
+    return total
+
+
 def exact_ecw(g: MultiGraph, budget: int = 10**6) -> tuple[int, SpanningWitness]:
     """Minimum edge-cut width of g over its own maximal spanning forests.
 
@@ -296,14 +315,17 @@ def exact_ecw(g: MultiGraph, budget: int = 10**6) -> tuple[int, SpanningWitness]
     forest is the lexicographically least among the optima. The value
     comes from the charge DP (`chargedp.ForestOracle`); `_least_forest`
     then asks the DP about each pair in lex order. The budget caps the
-    spanning forest count of g.
+    spanning forest count of g, which is counted only when the degree
+    bound of `_tree_bound` exceeds the budget.
     """
     vs, loops, pairs = _indexed(g)
-    count = _tree_count(len(vs), pairs)
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} spanning trees exceed the enumeration budget {budget}"
-        )
+    peeled, cores = _cores(len(vs), pairs)
+    if _tree_bound(peeled, cores) > budget:
+        count = _tree_count(peeled, cores)
+        if count > budget:
+            raise BudgetExceededError(
+                f"{count} spanning trees exceed the enumeration budget {budget}"
+            )
     # imported on first use: most callers of this module never need the DP
     from .chargedp import ForestOracle
 

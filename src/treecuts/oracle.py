@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import combinations
+from itertools import combinations, islice
 
 from .decomposition import TreeCutDecomposition, _center_size as _center_kernel
 from .ecw import _indexed
@@ -63,7 +63,8 @@ def _width_at_most(
     g: MultiGraph, variant: str, max_vertices: int, bound: int
 ) -> tuple[int, TreeCutDecomposition] | None:
     """exact_width(g, variant, max_vertices) if its value is at most
-    bound, else None; no width bound above bound is searched."""
+    bound, else None; no width bound above bound is searched, and none
+    below the search's floor(), which no decomposition goes under."""
     if variant not in VARIANT_LEVEL:
         raise ValueError(f"variant must be one of {sorted(VARIANT_LEVEL)}")
     n = g.num_vertices()
@@ -71,7 +72,7 @@ def _width_at_most(
     if n == 0:
         return (0, TreeCutDecomposition(0, {0: None}, {0: set()})) if bound >= 0 else None
     search = _Search(g, VARIANT_LEVEL[variant])
-    for w in range(1, min(n, bound) + 1):
+    for w in range(search.floor(), min(n, bound) + 1):
         plan = search.run(w)
         if plan is not None:
             return w, plan
@@ -94,7 +95,8 @@ class _Search:
     Bit i stands for the i-th smallest vertex. The cut table and the
     torso scores depend only on the graph, so they are built once and
     shared by every width bound tried; run(w) then searches one bound,
-    and the bounds go upward. Bag and pieces lists depend only on the
+    and the bounds go upward from floor(), below which edge connectivity
+    alone rules every width out. Bag and pieces lists depend only on the
     mask, so on graphs of at most _PROVIDER_MAX_VERTICES vertices the
     module tables _BAGS and _PIECES serve every search, and a bag list
     holds the bags of at most the largest bound searched yet in the
@@ -109,7 +111,12 @@ class _Search:
     (the root has adhesion 0 by definition, matching its empty cut). The
     count needs no cap: every empty node has two or more children and
     every leaf holds a vertex, so a subtree has fewer empty nodes than
-    the vertices it covers.
+    the vertices it covers. It scans the empty bag last: it can never
+    reach the zero that ends a scan, and its list, the partitions of all
+    of y, is the longest, so the other bags often spare it. The choice is
+    the first (bag, parts) in bag order that reaches the least total all
+    the same, and as a memo value depends only on y and the bound, the
+    order decides only which subsets get evaluated.
 
     _partitions(rest) lists, once per run, every partition of rest into
     parts within the adhesion bound and of finite cost, so the many
@@ -158,6 +165,52 @@ class _Search:
             todo.extend((p, me) for p in reversed(parts))
         return TreeCutDecomposition(0, parent, bags)
 
+    def floor(self) -> int:
+        """The least w >= 1 that edge connectivity does not rule out as
+        a width: run(w) is None for every w below it.
+
+        Call u and v w-linked when no vertex set of cut at most w holds
+        one and not the other, that is, lambda(u, v) > w. This is an
+        equivalence, and its classes are V refined by every set of cut at
+        most w. In a decomposition of width w every non-root node t has
+        adhesion cut(Y_t) <= w, so Y_t holds all of a class C or none of
+        it. The deepest node t whose Y_t holds C (the root at worst) has
+        no child holding C, so C lies in its bag; the center of a torso
+        keeps every bag vertex, so w >= |C|. Suppose also that every
+        nonempty proper vertex set has cut at least the level and C is
+        not V. If t's bag is C, the rest of V lies in t's torso groups
+        (its children's Y and the vertices outside Y_t), so it has a
+        group; a group's degree is its cut, so no peel removes it, and
+        w >= |C| + 1, as it is when the bag is larger than C. The classes
+        only split as w grows, so every bound from the floor up meets
+        both conditions.
+        """
+        cut, n, whole = self.cut, len(self.vertices), self.all
+        group = min(cut[1:whole], default=self.level) >= self.level
+        # splits[w] holds the sets first of cut at most w; a set and its
+        # complement split alike, so those without the highest vertex
+        # stand for both, and cuts of n or more never matter
+        splits: list[list[int]] = [[] for _ in range(n)]
+        for m in range(1, (whole >> 1) + 1):
+            c = cut[m]
+            if c < n:
+                splits[c or 1].append(m)
+        classes = [whole]
+        for w in range(1, n):
+            for m in splits[w]:
+                split = []
+                for c in classes:
+                    inside = c & m
+                    if inside and inside != c:
+                        split += (inside, c ^ inside)
+                    else:
+                        split.append(c)
+                classes = split
+            # a second class means C is not V
+            if max(c.bit_count() for c in classes) + (group and len(classes) > 1) <= w:
+                return w
+        return n
+
     def _bags(self, y: int) -> list[int]:
         """Subsets of y by size, then lexicographically by sorted
         vertices, up to at least wmax vertices; callers stop at the first
@@ -202,7 +255,10 @@ class _Search:
         return _center_size(self.cut, nbag, groups, self.level) <= self.wmax
 
     def _min_empties(self, y: int) -> float:
-        """Callers look y up in the memo first."""
+        """Callers look y up in the memo first. The empty bag leads y's
+        bag list but is scanned last, and only while the best total is
+        above zero; it wins ties with the other bags, and within its own
+        list the first partition reaching its least total wins."""
         # in-progress marker: the empty bag's partitions of y then lack
         # the single part y, an empty node with one child, ruled out anyway
         self.memo[y] = INF
@@ -211,11 +267,10 @@ class _Search:
         best_choice = None
         wmax, flag, up_score = self.wmax, self.flag, self.score[self.all ^ y]
         parts_of = self.parts_of
-        for x in self._bags(y):
+        for x in islice(self._bags(y), 1, None):
             nbag = x.bit_count()
             if nbag > wmax:
                 break
-            own = 0 if x else 1
             rest = y ^ x
             if not rest:
                 if nbag + (self.cut[self.all ^ y] >= self.level) <= wmax:
@@ -227,15 +282,30 @@ class _Search:
             if listed is None:
                 listed = self._partitions(rest)
             for parts, cost, score in listed:
-                total = own + cost
-                if total < best:
+                if cost < best:
                     size = fixed + score  # the center's size unless flagged
                     if size <= wmax or (size >= flag and self._torso_ok(y, x, parts)):
-                        best, best_choice = total, (x, parts)
+                        best, best_choice = cost, (x, parts)
                         if best == 0:
                             break
             if best == 0:
                 break
+        if best:
+            # the empty bag costs one and leads the bag order, so it wins
+            # at 1 + cost <= best, and each later entry must cost less
+            # than the last one taken. parts_of holds no list of y: one
+            # built before this call would have evaluated y, its own
+            # piece, unless y's cut is above the bound, and no such y is
+            # ever evaluated
+            limit = best
+            for parts, cost, score in self._partitions(y):
+                if cost < limit:
+                    size = up_score + score
+                    if size <= wmax or (size >= flag and self._torso_ok(y, 0, parts)):
+                        limit = cost
+                        best, best_choice = cost + 1, (0, parts)
+                        if not cost:
+                            break
         self.memo[y] = best
         self.active.discard(y)
         if best_choice is not None:
@@ -247,7 +317,8 @@ class _Search:
         and is itself feasible, as (parts, summed empty-bag cost, summed
         score), parts ascending and partitions in lexicographic order. A
         list built while _min_empties(rest) runs lacks the part rest and
-        is not kept. Callers look rest up in parts_of first."""
+        is not kept. Callers look rest up in parts_of first, but for
+        the empty bag's scan, which knows rest is not there."""
         memo = self.memo
         out = []
         for piece in self.pieces_of.get(rest) or self._pieces(rest):

@@ -172,6 +172,7 @@ def test_oracle_provider_width_contract(monkeypatch):
     real_run = oracle._Search.run
     monkeypatch.setattr(oracle._Search, "run", lambda s, w: searched.append(w) or real_run(s, w))
     rng = random.Random(2208)
+    below_floor = 0
     for _ in range(12):
         g = random_connected_simple(rng, rng.randint(2, 9))
         exact, want = exact_width(g, "tcw", max_vertices=9)
@@ -179,10 +180,16 @@ def test_oracle_provider_width_contract(monkeypatch):
             searched.clear()
             d = oracle_provider(g, omega)
             assert (d is None) == (exact > omega)
-            assert max(searched) == min(exact, omega)
+            # the bounds run upward from the search's floor, none if it
+            # is above omega
+            floor = oracle._Search(g, 3).floor()
+            assert searched == list(range(floor, min(exact, omega) + 1))
+            assert (not searched) == (omega < floor)
+            below_floor += omega < floor
             if d is not None:
                 assert width_report(d, g).width <= 2 * omega
                 assert (d.parent, d.bags) == (want.parent, want.bags)
+    assert below_floor > 0
 
 
 def test_oracle_provider_refuses_graphs_past_its_cap():

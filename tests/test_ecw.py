@@ -20,6 +20,7 @@ from treecuts.ecw import (
     _indexed,
     _least_forest,
     _top_charge,
+    _tree_bound,
     ecw_value,
     exact_ecw,
     sec_upper,
@@ -787,6 +788,24 @@ def test_spanning_tree_count_long_path_is_fast():
     start = time.perf_counter()
     assert spanning_tree_count(g) == 2
     assert time.perf_counter() - start < 0.25
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_multigraphs())
+def test_tree_bound_is_never_below_the_count(g):
+    # exact_ecw counts spanning trees only when this bound exceeds its
+    # budget, so the bound must never miss a count above the budget
+    _, _, pairs = _indexed(g)
+    assert _tree_bound(*_cores(g.num_vertices(), pairs)) >= spanning_tree_count(g)
+
+
+def test_over_budget_error_reports_the_count():
+    # ladder(12)'s degrees bound its trees above 10^6, so the count runs,
+    # and the error gives the count, not the bound
+    assert _tree_bound(*_cores(24, _indexed(ladder(12))[2])) > 2107560
+    with pytest.raises(BudgetExceededError,
+                       match="^2107560 spanning trees exceed the enumeration budget 1000000$"):
+        exact_ecw(ladder(12))
 
 
 def test_ladder12_within_raised_budget():

@@ -1,7 +1,10 @@
 import gc
 import hashlib
+import importlib.util
 import random
 import weakref
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -231,6 +234,28 @@ def test_exhaustive_corpus_golden():
     assert h.hexdigest() == EXHAUSTIVE_DIGEST
 
 
+# recorded before the search tried the empty bag last and started at its
+# edge-connectivity floor
+LARGE_GRAPH_DIGEST = "732ef1b4ac1d7ea5a21365efa06c0da4e9f51969c30ea72864daebc17e1f1bfe"
+
+
+def test_first_optimum_golden_past_the_shared_tables():
+    # searches of 10 or more vertices build their own bag and pieces
+    # lists, outside _BAGS and _PIECES; the reach table's 10-12 vertex
+    # graphs pin their first optima
+    path = Path(__file__).resolve().parent.parent / "scripts" / "oracle_reach_table.py"
+    spec = importlib.util.spec_from_file_location("script_oracle_reach_table", path)
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    h = hashlib.sha256()
+    for n in (10, 11, 12):
+        g = reach.random_multigraph(n, n)
+        for var in VARIANTS:
+            value, d = exact_width(g, var, max_vertices=12)
+            h.update(f"{var} {value}\n{decomposition_to_json(d)}\n".encode())
+    assert h.hexdigest() == LARGE_GRAPH_DIGEST
+
+
 def range_scan_pieces(remaining):
     """_pieces by its definition: every subset of remaining holding its
     lowest bit, found by scanning all integers up to the other bits."""
@@ -354,15 +379,70 @@ def test_stored_partitions_match_brute_force():
 @example(needs_an_empty_bag())
 @example(path(4))  # at stcw, w = 2 needs the outside group's flag
 def test_search_matches_reference_search(g):
-    # deciding torsos from the partition scores gives every feasibility
-    # value and every first choice that _torso_ok on each candidate gives
+    # deciding torsos from the partition scores, and trying the empty bag
+    # last, gives every feasibility value and every first choice that
+    # _torso_ok on each candidate in bag order gives; the search evaluates
+    # only some of the reference's subsets, so it holds a part of each map
     for var in VARIANTS:
         search = _Search(g, VARIANT_LEVEL[var])
         reference = ReferenceSearch(g, VARIANT_LEVEL[var])
         for w in range(1, g.num_vertices() + 1):
-            assert (search.run(w) is None) == (reference.run(w) is None)
-            assert search.memo == reference.memo, (var, w)
-            assert search.choice == reference.choice, (var, w)
+            got, want = search.run(w), reference.run(w)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert (got.parent, got.bags) == (want.parent, want.bags), (var, w)
+            assert search.memo.items() <= reference.memo.items(), (var, w)
+            assert search.choice.items() <= reference.choice.items(), (var, w)
+
+
+def floor_of(g, var):
+    return _Search(g, VARIANT_LEVEL[var]).floor()
+
+
+@settings(max_examples=80, deadline=None)
+@given(labelled_multigraphs(max_vertices=7))
+@example(needs_an_empty_bag())
+def test_floor_is_a_lower_bound(g):
+    # no bound below the floor has a decomposition, so exact_width, which
+    # starts there, loses nothing
+    for var in VARIANTS:
+        search = _Search(g, VARIANT_LEVEL[var])
+        floor = search.floor()
+        assert 1 <= floor <= exact_width(g, var, max_vertices=7)[0]
+        assert all(search.run(w) is None for w in range(1, floor)), var
+
+
+def complete(n):
+    return MultiGraph(range(n), list(combinations(range(n), 2)))
+
+
+def test_floor_fixed_cases():
+    # K_n: below n - 1 no set splits the one class V; at n - 1 single
+    # vertices split off, and a torso needs at least one group beside them
+    for n in range(4, 8):
+        for var in VARIANTS:
+            assert floor_of(complete(n), var) == n - 1
+        assert exact_width(complete(n), "tcw", max_vertices=7)[0] == n
+    # a tree: every edge is a cut of 1, so each class is one vertex
+    tree = MultiGraph(range(6), [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
+    for var in ("tcw", "stcw"):
+        assert floor_of(tree, var) == exact_width(tree, var)[0] == 1
+    # two vertices joined by 5 copies: no cut below 5 splits them
+    fat = MultiGraph(range(2), [(0, 1)] * 5)
+    for var in VARIANTS:
+        assert floor_of(fat, var) == exact_width(fat, var)[0] == 2
+    # two triangles: each component is a class at bound 1, and at bound 2
+    # every vertex is; cuts of 0 leave no torso group safe from the peel
+    two = MultiGraph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for var in VARIANTS:
+        assert floor_of(two, var) == 2 <= exact_width(two, var)[0]
+    # K4 less the pair 2-3 at stcw: the classes at bound 2 are {0, 1},
+    # {2} and {3}, and every proper set has cut >= 2, so the torso holding
+    # {0, 1} keeps a group too, and the floor is 3, not 2
+    kite = MultiGraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert floor_of(kite, "stcw") == exact_width(kite, "stcw")[0] == 3
+    assert _Search(kite, VARIANT_LEVEL["stcw"]).run(2) is None
+    assert floor_of(kite, "tcw") == 2  # cut 2 < level 3: no group is safe
 
 
 def test_shared_bag_lists_serve_smaller_bounds(monkeypatch):
